@@ -203,6 +203,7 @@ size_t DataNode::Fail() {
   responses_.clear();
   wfq_.Clear();
   tick_stats_ = NodeTickStats{};
+  prev_wfq_cpu_ru_ = 0;
   pending_reject_ru_ = 0;
   tenant_ru_this_tick_.clear();
   tenant_ru_slot_.Clear();
@@ -798,7 +799,7 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
   // of (seed, node, tenant, req_id), so the value is identical whichever
   // worker runs this node's tick — and the whole node-side latency is
   // scaled by the gray-failure degradation factor.
-  double util = std::min(0.98, tick_stats_.wfq.cpu_ru_used /
+  double util = std::min(0.98, prev_wfq_cpu_ru_ /
                                    std::max(1.0, options_.wfq.cpu_budget_ru));
   Micros queueing = static_cast<Micros>(
       static_cast<double>(options_.cpu_service_micros) * 2.0 * util /
@@ -877,6 +878,7 @@ void DataNode::Tick() {
       [this](const sched::SchedRequest& r, sched::SchedOutcome o) {
         CompleteRequest(r, o);
       });
+  prev_wfq_cpu_ru_ = tick_stats_.wfq.cpu_ru_used;
 
   // Anything still pending waited a full tick; requests beyond the queue
   // deadline fail now (their WFQ entries are lazily discarded when the

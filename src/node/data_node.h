@@ -376,6 +376,10 @@ class DataNode {
   size_t pending_live_ = 0;             ///< Active slab entries.
   std::vector<NodeResponse> responses_;
   NodeTickStats tick_stats_;
+  /// Last tick's WFQ CPU use: the queueing factor's utilization input.
+  /// Kept apart from tick_stats_ so draining the stats (TakeTickStats)
+  /// cannot change the next tick's latencies.
+  double prev_wfq_cpu_ru_ = 0;
   /// Per-tick tenant RU ledger: dense append-only pairs plus a flat
   /// index, cleared (capacity kept) every tick instead of rebuilding
   /// node-based maps — the steady state makes zero allocations.

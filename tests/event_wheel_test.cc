@@ -202,6 +202,45 @@ TEST(ActiveSetTest, StaleWheelWakeIsIgnoredAfterReattach) {
   for (const auto& m : sim.History(1)) EXPECT_EQ(m.issued, 0u);
 }
 
+TEST(ActiveSetTest, ZeroRateGeneratorTickIsDrawFree) {
+  // Parking skips a generator's zero-rate ticks outright; that is only
+  // sound if such a tick emits nothing and consumes no RNG, so the next
+  // live tick matches a twin that never saw the zero cell.
+  constexpr Micros kTick = kMicrosPerSecond;
+  sim::WorkloadProfile p;
+  p.num_keys = 64;
+  p.read_ratio = 0.5;
+  p.hash_op_fraction = 0.2;
+  p.eventual_read_fraction = 0.3;
+  p.rate_schedule = TimeSeries({150.0, 0.0, 150.0});
+  p.rate_schedule_step = kTick;
+  sim::WorkloadGenerator ticked(1, p, /*seed=*/77);
+  sim::WorkloadGenerator skipped(1, p, /*seed=*/77);
+
+  std::vector<ClientRequest> a;
+  std::vector<ClientRequest> b;
+  ticked.Tick(0, kTick, a);
+  skipped.Tick(0, kTick, b);
+  ASSERT_FALSE(a.empty());
+
+  ticked.Tick(kTick, kTick, a);  // Exactly-zero cell.
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(ticked.requests_generated(), skipped.requests_generated());
+
+  ticked.Tick(2 * kTick, kTick, a);
+  skipped.Tick(2 * kTick, kTick, b);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); i++) {
+    EXPECT_EQ(a[i].req_id, b[i].req_id) << "request " << i;
+    EXPECT_EQ(a[i].op, b[i].op) << "request " << i;
+    EXPECT_EQ(a[i].key, b[i].key) << "request " << i;
+    EXPECT_EQ(a[i].field, b[i].field) << "request " << i;
+    EXPECT_EQ(a[i].value, b[i].value) << "request " << i;
+    EXPECT_EQ(a[i].consistency, b[i].consistency) << "request " << i;
+  }
+}
+
 // ------------------------------------------- Deactivation: repl quiescence --
 
 TEST(ActiveSetTest, ReplicationListDrainsToQuiescenceAndRearmsOnFault) {
@@ -258,9 +297,18 @@ TEST(ActiveSetTest, AbandonedOutcomesExpireThroughTheWheel) {
   get.key = "t1:k1";
   get.track_outcome = true;
   sim.InjectRequest(get);
-  sim.RunTicks(2);
+  sim.Tick();
+  // Settled in the first tick's Settle, so recorded at tick_count 0.
+  EXPECT_EQ(sim.TrackedOutcomeCount(), 1u);
+  sim.Tick();
   EXPECT_EQ(sim.TrackedOutcomeCount(), 1u);  // Settled, never collected.
-  sim.RunTicks(4);
+  // Strict expiry (tick_count - recorded > ttl): still tracked once
+  // tick_count reaches recorded+ttl, gone one tick later.
+  sim.Tick();
+  EXPECT_EQ(sim.TrackedOutcomeCount(), 1u);  // tick_count == recorded+ttl.
+  sim.Tick();
+  EXPECT_EQ(sim.TrackedOutcomeCount(), 0u);  // recorded+ttl+1.
+  sim.RunTicks(2);
   EXPECT_EQ(sim.TrackedOutcomeCount(), 0u);  // Swept at recorded+ttl.
 
   // A collected outcome must not be double-swept or resurrect.

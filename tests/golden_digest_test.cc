@@ -16,11 +16,13 @@
 // GOLDEN_RECORD=1 in the environment; the test prints the new digests
 // instead of asserting, and the constants below should be updated.
 //
-// ABASE_GOLDEN_DENSE=1 forces every fixed-golden scenario onto the
-// legacy dense tick (they default to the sparse active-set walk): the
-// recorded digests must reproduce under BOTH tick modes, which keeps
-// the dense oracle honest against the fused admit/route pass and the
-// active-set walks. CI runs the suite a second time this way.
+// ABASE_GOLDEN_DENSE=1 runs every fixed-golden scenario with
+// SimOptions::dense_tick set (they default to sparse active-set
+// ticking). Dense widens every active-set ledger to all registered
+// tenants each tick, and the walks run the same loop bodies over the
+// wider sets, so the recorded digests must reproduce under BOTH modes:
+// a tenant a sparse ledger misses would change the digest. CI runs the
+// suite a second time this way, including under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -104,7 +106,7 @@ meta::TenantConfig GoldenTenant(TenantId id, double quota,
 /// pipeline_test fleet scenario); digest covers every reply plus the
 /// tenant's metric history.
 /// See the file comment: CI sets ABASE_GOLDEN_DENSE=1 to assert the
-/// same goldens under legacy dense ticking.
+/// same goldens with every active-set ledger widened to all tenants.
 bool ForceDenseTick() {
   return std::getenv("ABASE_GOLDEN_DENSE") != nullptr;
 }
@@ -333,7 +335,7 @@ uint64_t RunGrayFailureDigest(int workers) {
 
 // ------------------------------- Scenario: active-set vs dense ticking --
 
-/// Stresses every active-set walk against its dense twin: parked
+/// Stresses every active-set walk against the widened dense run: parked
 /// generators on zero rate-schedule cells (wheel wake-ups), flat-idle
 /// tenants, mid-run workload mutation (unpark hook), a failover (epoch-
 /// triggered replication rebuild), the control loop with sparse usage

@@ -216,6 +216,44 @@ TEST_F(DataNodeTest, ReplicaRuEwmaUpdates) {
   EXPECT_GT(replicas[0]->ru_rate, 0.0);
 }
 
+TEST(DataNodeStatsTest, DrainingTickStatsLeavesLatenciesUnchanged) {
+  // The queueing factor reads last tick's WFQ CPU use; draining the
+  // per-tick counters in between must not reset that input.
+  SimClock clock(0);
+  DataNode kept(1, SmallNodeOptions(), &clock);
+  DataNode drained(2, SmallNodeOptions(), &clock);
+  for (DataNode* n : {&kept, &drained}) {
+    n->AddReplica(/*tenant=*/1, /*partition=*/0,
+                  /*partition_quota_ru=*/1000, /*is_primary=*/true);
+  }
+  auto submit_tick = [&](uint64_t first_id, int count) {
+    for (DataNode* n : {&kept, &drained}) {
+      for (int i = 0; i < count; i++) {
+        const uint64_t id = first_id + static_cast<uint64_t>(i);
+        n->Submit(MakeSet(id, 1, 0, "k" + std::to_string(id), "v"));
+      }
+      n->Tick();
+    }
+    clock.Advance(kMicrosPerSecond);
+  };
+
+  submit_tick(/*first_id=*/1, /*count=*/300);
+  kept.TakeResponses();
+  drained.TakeResponses();
+  NodeTickStats stats = drained.TakeTickStats();
+  ASSERT_GT(stats.wfq.cpu_ru_used, 0.0);
+
+  submit_tick(/*first_id=*/1000, /*count=*/50);
+  std::vector<NodeResponse> a = kept.TakeResponses();
+  std::vector<NodeResponse> b = drained.TakeResponses();
+  ASSERT_EQ(a.size(), 50u);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); i++) {
+    EXPECT_EQ(a[i].req_id, b[i].req_id);
+    EXPECT_EQ(a[i].latency, b[i].latency) << "response " << i;
+  }
+}
+
 }  // namespace
 }  // namespace node
 }  // namespace abase
