@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -325,6 +326,9 @@ class DataNode {
   /// is valid until the next CacheKeyFor call; node request paths run
   /// single-threaded per node, so one scratch suffices.
   const std::string& CacheKeyFor(const NodeRequest& req) const;
+  /// Same, from the routing fields alone (no request to build).
+  const std::string& CacheKeyFor(TenantId tenant, PartitionId partition,
+                                 std::string_view user_key) const;
 
   /// Hot-path replica lookup through the flat side index.
   PartitionReplica* FindReplica(TenantId tenant, PartitionId partition) {

@@ -21,15 +21,13 @@ LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
 
 void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry) {
   entry.seq = next_seq_++;
-  if (options_.enable_wal || options_.enable_repl_log) {
-    // One materialized copy feeds both logs (and, via the Replicate
-    // shipping path, every replica's logs): the second log is a
-    // refcount bump, not another key/value copy.
-    ReplRecordPtr rec = MakeReplRecord(key, entry);
-    if (options_.enable_wal) wal_.Append(rec);
-    if (options_.enable_repl_log) repl_log_.Append(std::move(rec));
-  }
-  mem_.Put(key, std::move(entry));
+  // The write's one record: both logs and the memtable retain it, and so
+  // do every replica (via the Replicate shipping path) and the SSTables
+  // it is later flushed and compacted into.
+  ReplRecordPtr rec = MakeReplRecord(key, std::move(entry));
+  if (options_.enable_wal) wal_.Append(rec);
+  if (options_.enable_repl_log) repl_log_.Append(rec);
+  mem_.Put(std::move(rec));
   stats_.puts++;
   MaybeFlush();
 }
@@ -252,73 +250,64 @@ constexpr uint64_t kScanBlockBytes = 4096;
 
 }  // namespace
 
+void LsmEngine::SeekSources(std::string_view start, bool after,
+                            std::vector<RowCursor>* out) const {
+  out->clear();
+  auto before = [start, after](std::string_view key) {
+    return after ? key <= start : key < start;
+  };
+  const std::vector<const ReplRecordPtr*>& slots = mem_.Sorted();
+  auto s = std::partition_point(
+      slots.begin(), slots.end(),
+      [&before](const ReplRecordPtr* slot) { return before((*slot)->key); });
+  if (s != slots.end()) {
+    RowCursor c;
+    c.slot = &*s;
+    c.slot_end = slots.data() + slots.size();
+    c.row = (*s)->get();
+    out->push_back(c);
+  }
+  for (const auto& level : levels_) {
+    for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
+      const std::vector<ReplRecordPtr>& rows = (*rit)->rows();
+      auto r = std::partition_point(
+          rows.begin(), rows.end(),
+          [&before](const ReplRecordPtr& row) { return before(row->key); });
+      if (r == rows.end()) continue;
+      RowCursor c;
+      c.run = &*r;
+      c.run_end = rows.data() + rows.size();
+      c.row = r->get();
+      out->push_back(c);
+    }
+  }
+}
+
 ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
                                 size_t limit, ScanBuffer& out) {
   ScanResult res;
   stats_.scans++;
 
-  // Build one cursor per source, positioned at lower_bound(start). Ages:
-  // 0 = memtable (newest), then levels top-down, within a level later
-  // (newer) runs first — the exact probe order of FindEntry, so on equal
-  // keys the min-heap pops the newest version first.
-  scan_cursors_.clear();
-  scan_heap_.clear();
-  const auto& mem_rows = mem_.Sorted();
-  {
-    ScanCursor c;
-    auto it = std::lower_bound(mem_rows.begin(), mem_rows.end(), start,
-                               [](const MemTable::Row* r, std::string_view k) {
-                                 return r->first < k;
-                               });
-    c.mem_it = mem_rows.data() + (it - mem_rows.begin());
-    c.mem_end = mem_rows.data() + mem_rows.size();
-    c.age = 0;
-    if (c.mem_it != c.mem_end) scan_cursors_.push_back(c);
-  }
-  uint32_t age = 1;
-  for (const auto& level : levels_) {
-    for (auto rit = level.rbegin(); rit != level.rend(); ++rit, ++age) {
-      const auto& rows = (*rit)->rows();
-      auto it = std::lower_bound(
-          rows.begin(), rows.end(), start,
-          [](const auto& r, std::string_view k) { return r.first < k; });
-      if (it == rows.end()) continue;
-      ScanCursor c;
-      c.sst_it = rows.data() + (it - rows.begin());
-      c.sst_end = rows.data() + rows.size();
-      c.age = age;
-      scan_cursors_.push_back(c);
-    }
-  }
-
-  auto key_of = [&](uint32_t i) -> const std::string& {
-    const ScanCursor& c = scan_cursors_[i];
-    return c.mem_it != nullptr ? (*c.mem_it)->first : c.sst_it->first;
-  };
-  auto entry_of = [&](uint32_t i) -> const ValueEntry& {
-    const ScanCursor& c = scan_cursors_[i];
-    return c.mem_it != nullptr ? (*c.mem_it)->second : c.sst_it->second;
-  };
+  SeekSources(start, /*after=*/false, &scan_cursors_);
   // Min-heap on (key, age): std::push/pop_heap keep the *greatest*
-  // element at the front, so the comparator orders by "later key, or
-  // equal key from an older source, sorts first-er"… i.e. greater-than.
-  auto heap_less = [&](uint32_t a, uint32_t b) {
-    int cmp = key_of(a).compare(key_of(b));
+  // element at the front, so the comparator says "a sorts after b": a
+  // greater key, or an equal key from an older (higher-index) source.
+  // The newest version of the smallest key thus pops first.
+  auto heap_less = [this](uint32_t a, uint32_t b) {
+    int cmp = scan_cursors_[a].row->key.compare(scan_cursors_[b].row->key);
     if (cmp != 0) return cmp > 0;
-    return scan_cursors_[a].age > scan_cursors_[b].age;
+    return a > b;
   };
+  scan_heap_.clear();
   for (uint32_t i = 0; i < scan_cursors_.size(); i++) scan_heap_.push_back(i);
   std::make_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
 
   auto advance = [&](uint32_t i) {
-    ScanCursor& c = scan_cursors_[i];
-    if (c.mem_it != nullptr) {
-      ++c.mem_it;
-      return c.mem_it != c.mem_end;
+    if (scan_cursors_[i].Next()) {
+      std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
+    } else {
+      scan_heap_.pop_back();
     }
-    c.sst_bytes += c.sst_it->first.size() + c.sst_it->second.PayloadBytes();
-    ++c.sst_it;
-    return c.sst_it != c.sst_end;
   };
 
   const Micros now = clock_->NowMicros();
@@ -327,27 +316,26 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
   while (!scan_heap_.empty()) {
     std::pop_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
     const uint32_t i = scan_heap_.back();
-    const std::string& key = key_of(i);
+    const ReplRecord& row = *scan_cursors_[i].row;
+    const std::string& key = row.key;
     if (!end.empty() && key >= end) {
       // Range exhausted: every remaining cursor is at or past `end`.
       break;
     }
     if (res.entries >= limit) {
-      // Limit reached with this key unexamined: resume point.
+      // Limit reached: resume at this key, or just past it when it is an
+      // older copy of the key already decided.
       res.done = false;
       res.next_key = key;
+      if (last_key != nullptr && key == *last_key) res.next_key += '\0';
       break;
     }
     if (last_key != nullptr && key == *last_key) {
       // Older duplicate of an already-decided key.
-      if (advance(i)) {
-        std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
-      } else {
-        scan_heap_.pop_back();
-      }
+      advance(i);
       continue;
     }
-    const ValueEntry& entry = entry_of(i);
+    const ValueEntry& entry = row.entry;
     const bool visible = !entry.IsTombstone() && !entry.IsExpiredAt(now);
     if (visible) {
       ScanEntry& se = out.Append();
@@ -368,24 +356,20 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
     } else if (entry.IsExpiredAt(now)) {
       stats_.expired_dropped++;
     }
-    // Row storage (memtable nodes, SSTable rows) is stable across cursor
-    // advances, so the key reference survives into the next iteration's
+    // Records are immutable and held by their sources for the whole
+    // call, so the key reference survives into the next iteration's
     // duplicate check.
     last_key = &key;
-    if (advance(i)) {
-      std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
-    } else {
-      scan_heap_.pop_back();
-    }
+    advance(i);
   }
 
   // Block accounting: one seek per touched run plus one read per
   // kScanBlockBytes of consumed payload — sequential I/O, so far cheaper
-  // per entry than per-key point probes.
-  for (const ScanCursor& c : scan_cursors_) {
-    if (c.mem_it != nullptr || c.sst_bytes == 0) continue;
+  // per entry than per-key point probes. Memtable cursors consume none.
+  for (const RowCursor& c : scan_cursors_) {
+    if (c.run_bytes == 0) continue;
     res.block_reads +=
-        1 + static_cast<int>(c.sst_bytes / kScanBlockBytes);
+        1 + static_cast<int>(c.run_bytes / kScanBlockBytes);
   }
   stats_.block_reads += static_cast<uint64_t>(res.block_reads);
   return res;
@@ -428,50 +412,27 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   // key across capped sources — below which the merged view is
   // complete. Keys beyond the horizon wait for the next batch.
   const uint64_t cap = max_bytes * 2 + (64ull << 10);
-  std::map<std::string, const ValueEntry*> merged;
+  std::map<std::string_view, const ValueEntry*> merged;
   bool bounded = false;
-  std::string horizon;
-  // `deref` unifies the two row shapes: sstable runs iterate pair
-  // values, the memtable's sorted view iterates pair pointers.
-  auto collect = [&](auto it, auto end_it, auto deref) {
+  std::string_view horizon;
+  std::vector<RowCursor> cursors;
+  SeekSources(start_after, /*after=*/true, &cursors);
+  for (RowCursor& c : cursors) {
     uint64_t taken = 0;
-    std::string last;
+    std::string_view last;
     bool capped = false;
-    for (; it != end_it; ++it) {
-      const auto& row = deref(it);
+    do {
       if (taken > cap) {
         capped = true;
         break;
       }
-      merged.emplace(row.first, &row.second);
-      taken += row.first.size() + row.second.PayloadBytes();
-      last = row.first;
-    }
+      merged.emplace(c.row->key, &c.row->entry);
+      taken += c.row->key.size() + c.row->entry.PayloadBytes();
+      last = c.row->key;
+    } while (c.Next());
     if (capped) {
       bounded = true;
       if (horizon.empty() || last < horizon) horizon = last;
-    }
-  };
-  auto deref_ptr = [](auto it) -> const MemTable::Row& { return **it; };
-  auto deref_row = [](auto it) -> const auto& { return *it; };
-  const auto& mem_rows = mem_.Sorted();
-  collect(start_after.empty()
-              ? mem_rows.begin()
-              : std::upper_bound(mem_rows.begin(), mem_rows.end(),
-                                 start_after,
-                                 [](std::string_view k,
-                                    const MemTable::Row* r) {
-                                   return k < r->first;
-                                 }),
-          mem_rows.end(), deref_ptr);
-  for (const auto& level : levels_) {
-    for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
-      const auto& rows = (*rit)->rows();
-      collect(std::upper_bound(rows.begin(), rows.end(), start_after,
-                               [](std::string_view k, const auto& r) {
-                                 return k < r.first;
-                               }),
-              rows.end(), deref_row);
     }
   }
 
@@ -483,15 +444,16 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
       budget_hit = true;  // Budget exhausted with keys left to examine.
       break;
     }
-    out.next_cursor = key;  // Examined (matching or not): never revisit.
+    // Examined (matching or not): never revisit.
+    out.next_cursor.assign(key.data(), key.size());
     if (Fnv1a64(key) % modulus != residue) continue;
     if (entry->IsTombstone() || entry->IsExpiredAt(now)) continue;
-    out.entries.emplace_back(key, *entry);
+    out.entries.emplace_back(std::string(key), *entry);
     out.bytes += key.size() + entry->PayloadBytes();
   }
   if (bounded && !budget_hit) {
     // Every key up to the horizon was examined; resume past it.
-    out.next_cursor = horizon;
+    out.next_cursor.assign(horizon.data(), horizon.size());
   }
   out.done = !bounded && !budget_hit;
   return out;
@@ -514,12 +476,13 @@ void LsmEngine::Flush() {
     MaybeCompact();
     return;
   }
-  std::vector<std::pair<std::string, ValueEntry>> rows;
+  // The run shares the memtable's records: a pointer copy per row.
+  std::vector<ReplRecordPtr> rows;
   rows.reserve(mem_.entry_count());
   uint64_t max_seq = 0;
-  for (const MemTable::Row* row : mem_.Sorted()) {
-    rows.emplace_back(row->first, row->second);
-    max_seq = std::max(max_seq, row->second.seq);
+  for (const ReplRecordPtr* slot : mem_.Sorted()) {
+    rows.push_back(*slot);
+    max_seq = std::max(max_seq, (*slot)->entry.seq);
   }
   auto sst = std::make_shared<SsTable>(next_sst_id_++, std::move(rows));
   stats_.flush_count++;
@@ -566,7 +529,8 @@ void LsmEngine::CompactLevel(size_t level) {
   // Tombstones and expired entries may only be dropped when merging into
   // the bottom level (no older version can exist below it).
   const bool drop_deletes = target + 1 >= levels_.size();
-  auto merged_rows = MergeRuns(inputs, drop_deletes);
+  auto merged_rows = MergeRuns(inputs, drop_deletes, clock_->NowMicros(),
+                               &stats_.expired_dropped);
 
   levels_[level].clear();
   if (!is_bottom) levels_[target].clear();
@@ -580,29 +544,6 @@ void LsmEngine::CompactLevel(size_t level) {
   stats_.compaction_read_bytes += read_bytes;
 }
 
-std::vector<std::pair<std::string, ValueEntry>> LsmEngine::MergeRuns(
-    const std::vector<SsTablePtr>& runs_newest_first, bool drop_deletes) {
-  // K-way merge by key; on ties the newest run (lowest input index) wins.
-  std::map<std::string, ValueEntry> merged;
-  for (const auto& run : runs_newest_first) {
-    for (const auto& [key, entry] : run->rows()) {
-      merged.emplace(key, entry);  // No overwrite: first (newest) wins.
-    }
-  }
-  std::vector<std::pair<std::string, ValueEntry>> rows;
-  rows.reserve(merged.size());
-  const Micros now = clock_->NowMicros();
-  for (auto& [key, entry] : merged) {
-    if (drop_deletes &&
-        (entry.IsTombstone() || entry.IsExpiredAt(now))) {
-      stats_.expired_dropped += entry.IsExpiredAt(now) ? 1 : 0;
-      continue;
-    }
-    rows.emplace_back(key, std::move(entry));
-  }
-  return rows;
-}
-
 // ---------------------------------------------------------------------------
 // Replication
 // ---------------------------------------------------------------------------
@@ -612,12 +553,11 @@ Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
     return Status::InvalidArgument("replication stream gap");
   }
   next_seq_ = rec->entry.seq + 1;
-  // The shipped record is the primary's materialized copy; retaining it
-  // in this replica's logs is two refcount bumps. Only the memtable —
-  // the mutable store — takes its own copy.
+  // The shipped record is the primary's own: this replica's logs and
+  // memtable retain it with refcount bumps, no key/value copy.
   if (options_.enable_wal) wal_.Append(rec);
   if (options_.enable_repl_log) repl_log_.Append(rec);
-  mem_.Put(rec->key, rec->entry);
+  mem_.Put(rec);
   stats_.repl_applied++;
   MaybeFlush();
   return Status::OK();
@@ -647,9 +587,9 @@ void LsmEngine::ResyncFrom(const LsmEngine& src) {
 void LsmEngine::CrashAndRecover() {
   mem_ = MemTable();
   if (!options_.enable_wal) return;
-  // Replay preserves original sequence numbers so ordering against
-  // flushed runs stays correct.
-  wal_.ForEach([this](const ReplRecord& rec) { mem_.Put(rec.key, rec.entry); });
+  // Replay puts the logged records themselves back, so original sequence
+  // numbers (and ordering against flushed runs) are preserved.
+  wal_.ForEach([this](const ReplRecordPtr& rec) { mem_.Put(rec); });
 }
 
 uint64_t LsmEngine::ApproximateDataBytes() const {

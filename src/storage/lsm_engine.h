@@ -100,9 +100,9 @@ struct ScanResult {
   uint64_t bytes = 0;      ///< Key + payload bytes of those entries.
   int block_reads = 0;     ///< Data-block reads charged to the scan.
   bool done = false;       ///< Range exhausted before the limit.
-  /// Resume position when !done: the first key the scan did not
-  /// examine. Passing it as the next batch's `start` continues the scan
-  /// exactly where it stopped.
+  /// Resume position when !done: the smallest key the scan has not
+  /// decided. Passing it as the next batch's `start` continues the scan
+  /// exactly where it stopped, without repeating a key.
   std::string next_key;
 };
 
@@ -268,8 +268,8 @@ class LsmEngine {
   /// otherwise InvalidArgument (the shipper must fall back to a snapshot
   /// resync). Writes through the WAL and this engine's own replication
   /// log, so a replica survives crashes and can itself be promoted.
-  /// Retaining the shared record in both logs costs refcount bumps, not
-  /// copies; only the memtable copy is materialized here.
+  /// The shipped record is retained as is by both logs and the memtable:
+  /// refcount bumps, no key/value copy.
   Status ApplyReplicated(const ReplRecordPtr& rec);
 
   /// Convenience for callers holding a loose record (tests, mostly):
@@ -315,11 +315,6 @@ class LsmEngine {
   void MaybeFlush();
   void CompactLevel(size_t level);
 
-  /// Merges runs (newest first) into one sorted row set, dropping shadowed
-  /// versions, and — when `drop_deletes` — tombstones and expired entries.
-  std::vector<std::pair<std::string, ValueEntry>> MergeRuns(
-      const std::vector<SsTablePtr>& runs_newest_first, bool drop_deletes);
-
   LsmOptions options_;
   const Clock* clock_;
   MemTable mem_;
@@ -336,20 +331,41 @@ class LsmEngine {
   /// hashed once per batch, reused by every run's bloom probe.
   std::vector<KeyRef> mfind_krefs_;
 
-  /// One merge source of a ScanRange call: the memtable's sorted view
-  /// (pointer rows) or one SSTable run (value rows). `age` orders
-  /// sources newest-first on equal keys (0 = memtable, then level order,
-  /// within a level later runs first).
-  struct ScanCursor {
-    const MemTable::Row* const* mem_it = nullptr;
-    const MemTable::Row* const* mem_end = nullptr;
-    const std::pair<std::string, ValueEntry>* sst_it = nullptr;
-    const std::pair<std::string, ValueEntry>* sst_end = nullptr;
-    uint32_t age = 0;
-    uint64_t sst_bytes = 0;  ///< Payload bytes consumed from this run.
+  /// A key-ordered walk over one row source of a scan or an export: the
+  /// memtable's sorted slot view or one SSTable run. Both hold the
+  /// writes' shared records, so every cursor exposes the same row shape
+  /// (`row`, null once exhausted); only the step differs, memtable slots
+  /// being one indirection deeper.
+  struct RowCursor {
+    const ReplRecord* row = nullptr;
+    const ReplRecordPtr* const* slot = nullptr;  ///< Memtable position.
+    const ReplRecordPtr* const* slot_end = nullptr;
+    const ReplRecordPtr* run = nullptr;  ///< SSTable position.
+    const ReplRecordPtr* run_end = nullptr;
+    uint64_t run_bytes = 0;  ///< Payload bytes stepped past in a run.
+
+    /// Steps to the next row; false once exhausted.
+    bool Next() {
+      if (slot != nullptr) {
+        row = ++slot != slot_end ? (*slot)->get() : nullptr;
+      } else {
+        run_bytes += row->key.size() + row->entry.PayloadBytes();
+        row = ++run != run_end ? run->get() : nullptr;
+      }
+      return row != nullptr;
+    }
   };
+
+  /// Replaces `out` with one cursor per non-exhausted source, each at
+  /// its first key >= `start` (> `start` when `after`). Sources come in
+  /// FindEntry's probe order — memtable, then levels top-down, within a
+  /// level newer runs first — so a cursor's index is its age: on equal
+  /// keys the lower index holds the newer version.
+  void SeekSources(std::string_view start, bool after,
+                   std::vector<RowCursor>* out) const;
+
   /// ScanRange scratch (kept across calls to avoid re-allocation).
-  std::vector<ScanCursor> scan_cursors_;
+  std::vector<RowCursor> scan_cursors_;
   std::vector<uint32_t> scan_heap_;
 };
 

@@ -1,56 +1,47 @@
 #include "storage/memtable.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace abase {
 namespace storage {
 
-void MemTable::Put(const std::string& key, ValueEntry entry) {
-  uint64_t new_bytes = EntryBytes(key, entry);
-  auto [it, inserted] = table_.try_emplace(key, std::move(entry));
-  if (!inserted) {
-    bytes_ -= EntryBytes(key, it->second);
-    // try_emplace left `entry` unmoved on the existing-key path.
-    it->second = std::move(entry);
-  } else {
+void MemTable::Put(ReplRecordPtr rec) {
+  bytes_ += EntryBytes(*rec);
+  auto [it, inserted] = table_.try_emplace(rec->key);
+  if (inserted) {
+    // The key views the record this slot now owns.
+    it->second = std::move(rec);
     sorted_dirty_ = true;
+    return;
   }
-  bytes_ += new_bytes;
+  bytes_ -= EntryBytes(*it->second);
+  // The index key views the old record, which may die with this
+  // overwrite: re-key the node onto the new record's key. The node
+  // itself is reused, so the sorted view's slot pointer stays valid.
+  auto node = table_.extract(it);
+  node.key() = rec->key;
+  node.mapped() = std::move(rec);
+  table_.insert(std::move(node));
 }
 
 const ValueEntry* MemTable::Get(std::string_view key) const {
-  // C++17 unordered_map lacks heterogeneous lookup; the scratch string
-  // retains its capacity across probes so the lookup key never
-  // allocates in steady state (not even past SSO range).
-  lookup_scratch_.assign(key.data(), key.size());
-  auto it = table_.find(lookup_scratch_);
-  return it == table_.end() ? nullptr : &it->second;
+  auto it = table_.find(key);
+  return it == table_.end() ? nullptr : &it->second->entry;
 }
 
-ValueEntry* MemTable::GetMutable(std::string_view key) {
-  lookup_scratch_.assign(key.data(), key.size());
-  auto it = table_.find(lookup_scratch_);
-  return it == table_.end() ? nullptr : &it->second;
-}
-
-const std::vector<const MemTable::Row*>& MemTable::Sorted() const {
+const std::vector<const ReplRecordPtr*>& MemTable::Sorted() const {
   if (sorted_dirty_ || sorted_.size() != table_.size()) {
     sorted_.clear();
     sorted_.reserve(table_.size());
-    for (const Row& row : table_) sorted_.push_back(&row);
+    for (const auto& slot : table_) sorted_.push_back(&slot.second);
     std::sort(sorted_.begin(), sorted_.end(),
-              [](const Row* a, const Row* b) { return a->first < b->first; });
+              [](const ReplRecordPtr* a, const ReplRecordPtr* b) {
+                return (*a)->key < (*b)->key;
+              });
     sorted_dirty_ = false;
   }
   return sorted_;
-}
-
-void MemTable::AdjustBytes(int64_t delta) {
-  if (delta < 0 && static_cast<uint64_t>(-delta) > bytes_) {
-    bytes_ = 0;
-  } else {
-    bytes_ = static_cast<uint64_t>(static_cast<int64_t>(bytes_) + delta);
-  }
 }
 
 }  // namespace storage

@@ -1,41 +1,41 @@
-// In-memory write buffer of the LSM engine: a hash map from key to the
-// latest ValueEntry with byte accounting that drives flush decisions,
-// plus a lazily built key-ordered view for the (rare) ordered
-// consumers — flush, range scans, and split exports.
+// In-memory write buffer of the LSM engine: a hash index from key to the
+// write's shared immutable record (storage/replication_log.h) with byte
+// accounting that drives flush decisions, plus a lazily built key-ordered
+// view for the (rare) ordered consumers — flush, range scans, and split
+// exports.
 //
-// Point writes dominate the data plane, so the primary index is a hash
-// table: Put/Get cost one short-string hash instead of the O(log n)
-// string comparisons of the previous std::map. The ordered view is a
-// vector of row pointers sorted on demand; overwrites keep it valid
-// (pointers into the node-based table are stable and the key set is
-// unchanged), only a first-seen key marks it dirty.
+// The memtable stores no row of its own: a put retains the record the
+// WAL and the replication log already hold (or the record a primary
+// shipped), so a replicated write is materialized once across the whole
+// placement. The index key is a string_view into the record's own key;
+// an overwrite re-keys the node in place (extract/insert), so it
+// allocates nothing. The ordered view is a vector of pointers to the
+// index's record slots, sorted on demand; overwrites keep it valid
+// (nodes survive extract/insert and the key set is unchanged), only a
+// first-seen key marks it dirty.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "storage/replication_log.h"
 #include "storage/value.h"
 
 namespace abase {
 namespace storage {
 
-/// Mutable key→value buffer. Not internally synchronized; the engine
+/// Mutable key→record buffer. Not internally synchronized; the engine
 /// serializes access.
 class MemTable {
  public:
-  /// One stored row; `first` is the key. Matches the hash table's
-  /// value_type so Sorted() can point straight at the nodes.
-  using Row = std::pair<const std::string, ValueEntry>;
-
   MemTable() = default;
-  // The sorted view holds pointers into the table's nodes, so a copied
+  // The sorted view holds pointers into the index's nodes, so a copied
   // view would alias the *source* table. Copies drop the view and
-  // rebuild lazily; moves keep it (node pointers survive a map move).
+  // rebuild lazily (the copied index keys still view the shared,
+  // immutable records, which the copy keeps alive); moves keep it (node
+  // pointers survive a map move).
   MemTable(const MemTable& other)
       : table_(other.table_), bytes_(other.bytes_) {
     sorted_dirty_ = true;
@@ -50,43 +50,33 @@ class MemTable {
   MemTable(MemTable&&) = default;
   MemTable& operator=(MemTable&&) = default;
 
-  /// Inserts or replaces the entry for `key`.
-  void Put(const std::string& key, ValueEntry entry);
+  /// Inserts `rec`, or replaces the record of an existing `rec->key`.
+  void Put(ReplRecordPtr rec);
 
   /// Latest entry for `key`, including tombstones (callers must check).
   const ValueEntry* Get(std::string_view key) const;
-
-  /// Mutable access for read-modify-write commands (HSET on an existing
-  /// hash). Returns nullptr if absent.
-  ValueEntry* GetMutable(std::string_view key);
 
   size_t entry_count() const { return table_.size(); }
   uint64_t approximate_bytes() const { return bytes_; }
   bool empty() const { return table_.empty(); }
 
-  /// Key-ordered view of the rows for flush / scans / exports. Rebuilt
-  /// lazily after an insert of a new key; row pointers are stable (the
-  /// table is node-based) and value updates never invalidate the view.
-  const std::vector<const Row*>& Sorted() const;
-
-  /// Re-derives the byte accounting after in-place mutation via
-  /// GetMutable. `delta` may be negative.
-  void AdjustBytes(int64_t delta);
+  /// Key-ordered view of the record slots for flush / scans / exports.
+  /// Rebuilt lazily after an insert of a new key; slot pointers are
+  /// stable (the index is node-based) and overwrites never invalidate
+  /// the view.
+  const std::vector<const ReplRecordPtr*>& Sorted() const;
 
  private:
-  static uint64_t EntryBytes(const std::string& key, const ValueEntry& e) {
-    return key.size() + e.PayloadBytes() + kEntryOverhead;
+  static uint64_t EntryBytes(const ReplRecord& rec) {
+    return rec.key.size() + rec.entry.PayloadBytes() + kEntryOverhead;
   }
 
   /// Fixed per-entry overhead (seq, type, TTL, node pointers).
   static constexpr uint64_t kEntryOverhead = 48;
 
-  std::unordered_map<std::string, ValueEntry> table_;
-  mutable std::vector<const Row*> sorted_;
+  std::unordered_map<std::string_view, ReplRecordPtr> table_;
+  mutable std::vector<const ReplRecordPtr*> sorted_;
   mutable bool sorted_dirty_ = false;
-  /// Lookup key scratch: capacity retained across Get calls so probing
-  /// never allocates (C++17 unordered_map lacks heterogeneous find).
-  mutable std::string lookup_scratch_;
   uint64_t bytes_ = 0;
 };
 

@@ -30,20 +30,18 @@ struct ReplRecord {
   ValueEntry entry;
 };
 
-/// Records are immutable once appended, so the WAL, the primary's
-/// replication log, and every replica's logs all share ONE materialized
-/// copy: appending an already-materialized record to another log is a
-/// refcount bump, not a key/value copy. This is the write path's main
-/// allocation saver — a replicated write used to copy (key, entry) into
-/// six containers across the placement; now it is materialized once on
-/// the primary and once per replica memtable.
+/// Records are immutable once built, so one record per write serves the
+/// whole engine: the WAL, the replication log, every replica's logs and
+/// memtable, the SSTables it is flushed into, and every compaction output
+/// that keeps it all hold the same record. Appending, applying, flushing
+/// or merging a record is a refcount bump, never a key/value copy.
 using ReplRecordPtr = std::shared_ptr<const ReplRecord>;
 
-/// Builds the single shared copy of a mutation (the one allocation the
-/// log fan-out performs).
-inline ReplRecordPtr MakeReplRecord(const std::string& key,
-                                    const ValueEntry& entry) {
-  return std::make_shared<const ReplRecord>(ReplRecord{key, entry});
+/// Builds the single shared record of a mutation (its one key/value
+/// materialization), taking ownership of the key and the value.
+inline ReplRecordPtr MakeReplRecord(std::string key, ValueEntry entry) {
+  return std::make_shared<const ReplRecord>(
+      ReplRecord{std::move(key), std::move(entry)});
 }
 
 /// Append-only, contiguously-sequenced mutation log with prefix
@@ -59,9 +57,8 @@ class ReplicationLog {
   }
 
   /// Convenience for callers (tests, mostly) holding a loose key/entry.
-  void Append(std::string key, const ValueEntry& entry) {
-    Append(std::make_shared<const ReplRecord>(
-        ReplRecord{std::move(key), entry}));
+  void Append(std::string key, ValueEntry entry) {
+    Append(MakeReplRecord(std::move(key), std::move(entry)));
   }
 
   /// First retained sequence (first_seq() > 1 after truncation).

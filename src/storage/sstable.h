@@ -2,17 +2,23 @@
 // accounting. Data lives in memory (the simulator's "disk"), but every
 // probe that reaches the run's data blocks counts as one disk read so the
 // I/O-WFQ and DiskModel see realistic load.
+//
+// A run's rows are the writes' shared immutable records
+// (storage/replication_log.h): a flush copies the memtable's record
+// handles, and a compaction keeps the surviving records of its inputs,
+// so no key or value is copied on the way down the levels. Byte
+// accounting (data_bytes) still charges every row's key and payload.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/key_ref.h"
 #include "storage/bloom.h"
+#include "storage/replication_log.h"
 #include "storage/value.h"
 
 namespace abase {
@@ -28,8 +34,9 @@ struct SstProbe {
 /// compaction merge.
 class SsTable {
  public:
-  /// Builds from sorted (key, entry) pairs. `id` is unique per engine.
-  SsTable(uint64_t id, std::vector<std::pair<std::string, ValueEntry>> rows);
+  /// Builds from records sorted by key, one per key. `id` is unique per
+  /// engine.
+  SsTable(uint64_t id, std::vector<ReplRecordPtr> rows);
 
   /// Point lookup. Bloom-negative probes cost no block reads; positive
   /// probes cost one block read (the sparse index is assumed resident).
@@ -51,27 +58,40 @@ class SsTable {
   uint64_t id() const { return id_; }
   size_t entry_count() const { return rows_.size(); }
   uint64_t data_bytes() const { return data_bytes_; }
-  const std::string& min_key() const { return min_key_; }
-  const std::string& max_key() const { return max_key_; }
+  /// Smallest and largest key ("" for an empty run).
+  std::string_view min_key() const {
+    return rows_.empty() ? std::string_view() : rows_.front()->key;
+  }
+  std::string_view max_key() const {
+    return rows_.empty() ? std::string_view() : rows_.back()->key;
+  }
 
   /// True if `key` falls in [min_key, max_key] (cheap pre-filter).
   bool KeyInRange(std::string_view key) const {
-    return !rows_.empty() && key >= min_key_ && key <= max_key_;
+    return !rows_.empty() && key >= min_key() && key <= max_key();
   }
 
-  const std::vector<std::pair<std::string, ValueEntry>>& rows() const {
-    return rows_;
-  }
+  const std::vector<ReplRecordPtr>& rows() const { return rows_; }
 
  private:
   uint64_t id_;
-  std::vector<std::pair<std::string, ValueEntry>> rows_;
+  std::vector<ReplRecordPtr> rows_;
   BloomFilter bloom_;
   uint64_t data_bytes_ = 0;
-  std::string min_key_, max_key_;
 };
 
 using SsTablePtr = std::shared_ptr<const SsTable>;
+
+/// Compaction merge: a k-way heap merge of sorted runs given newest
+/// first into one sorted row set. On equal keys the newest run's record
+/// survives and older versions are dropped; when `drop_deletes` (a merge
+/// into the bottom level, below which no older version can exist)
+/// tombstones and entries expired at `now` are dropped too, each expired
+/// one counted in `*expired_dropped`. Surviving records are shared with
+/// the inputs, not copied.
+std::vector<ReplRecordPtr> MergeRuns(
+    const std::vector<SsTablePtr>& runs_newest_first, bool drop_deletes,
+    Micros now, uint64_t* expired_dropped);
 
 }  // namespace storage
 }  // namespace abase

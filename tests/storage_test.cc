@@ -2,8 +2,11 @@
 // engine (LavaStore stand-in), WAL recovery, and the disk model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -58,11 +61,11 @@ TEST(BloomTest, EmptyFilterRejectsEverything) {
 
 TEST(MemTableTest, PutGetReplace) {
   MemTable mt;
-  mt.Put("a", ValueEntry::String("1", 1));
-  mt.Put("b", ValueEntry::String("2", 2));
+  mt.Put(MakeReplRecord("a", ValueEntry::String("1", 1)));
+  mt.Put(MakeReplRecord("b", ValueEntry::String("2", 2)));
   ASSERT_NE(mt.Get("a"), nullptr);
   EXPECT_EQ(mt.Get("a")->str, "1");
-  mt.Put("a", ValueEntry::String("updated", 3));
+  mt.Put(MakeReplRecord("a", ValueEntry::String("updated", 3)));
   EXPECT_EQ(mt.Get("a")->str, "updated");
   EXPECT_EQ(mt.entry_count(), 2u);
   EXPECT_EQ(mt.Get("zz"), nullptr);
@@ -70,29 +73,104 @@ TEST(MemTableTest, PutGetReplace) {
 
 TEST(MemTableTest, ByteAccountingTracksReplacement) {
   MemTable mt;
-  mt.Put("k", ValueEntry::String(std::string(100, 'x'), 1));
+  mt.Put(MakeReplRecord("k", ValueEntry::String(std::string(100, 'x'), 1)));
   uint64_t b1 = mt.approximate_bytes();
-  mt.Put("k", ValueEntry::String(std::string(10, 'x'), 2));
+  mt.Put(MakeReplRecord("k", ValueEntry::String(std::string(10, 'x'), 2)));
   uint64_t b2 = mt.approximate_bytes();
   EXPECT_EQ(b1 - b2, 90u);
 }
 
 TEST(MemTableTest, TombstonesStored) {
   MemTable mt;
-  mt.Put("k", ValueEntry::Tombstone(1));
+  mt.Put(MakeReplRecord("k", ValueEntry::Tombstone(1)));
   ASSERT_NE(mt.Get("k"), nullptr);
   EXPECT_TRUE(mt.Get("k")->IsTombstone());
 }
 
+// The memtable stores the put record itself, and an overwrite re-keys
+// the index onto the new record: once nothing else holds the old record
+// it is freed, and lookups (which compare against the index key) still
+// work — under ASan a key left viewing the freed record would fault.
+TEST(MemTableTest, HoldsThePutRecordAndReKeysOnOverwrite) {
+  MemTable mt;
+  ReplRecordPtr first = MakeReplRecord("k", ValueEntry::String("1", 1));
+  mt.Put(first);
+  EXPECT_EQ(mt.Get("k"), &first->entry);
+
+  std::weak_ptr<const ReplRecord> old = first;
+  first.reset();
+  ReplRecordPtr second = MakeReplRecord("k", ValueEntry::String("2", 2));
+  mt.Put(second);
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(mt.Get("k"), &second->entry);
+  ASSERT_EQ(mt.Sorted().size(), 1u);
+  EXPECT_EQ((*mt.Sorted()[0])->entry.str, "2");
+}
+
+// Overwrites keep the sorted view: same slot pointers, no re-sort, and
+// each slot shows the newest record.
+TEST(MemTableTest, OverwriteKeepsSortedSlots) {
+  MemTable mt;
+  for (const char* k : {"c", "a", "b"}) {
+    mt.Put(MakeReplRecord(k, ValueEntry::String("old", 1)));
+  }
+  const std::vector<const ReplRecordPtr*> before = mt.Sorted();
+  mt.Put(MakeReplRecord("b", ValueEntry::String("new", 2)));
+  const std::vector<const ReplRecordPtr*>& after = mt.Sorted();
+  EXPECT_EQ(after, before);
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ((*after[0])->key, "a");
+  EXPECT_EQ((*after[1])->key, "b");
+  EXPECT_EQ((*after[1])->entry.str, "new");
+  EXPECT_EQ((*after[2])->key, "c");
+}
+
+// A copied memtable (what ResyncFrom makes) is a snapshot: later writes
+// to the source do not reach it, and its sorted view points at its own
+// nodes, never at the source's.
+TEST(MemTableTest, CopyIsIndependentOfLaterSourceWrites) {
+  for (bool assign : {false, true}) {
+    MemTable src;
+    for (const char* k : {"b", "a", "c"}) {
+      src.Put(MakeReplRecord(k, ValueEntry::String("old", 1)));
+    }
+    (void)src.Sorted();  // Build the view the copy must not inherit.
+    MemTable copy;
+    if (assign) {
+      copy = src;
+    } else {
+      copy = MemTable(src);
+    }
+    src.Put(MakeReplRecord("a", ValueEntry::String("new", 2)));
+    src.Put(MakeReplRecord("d", ValueEntry::String("new", 3)));
+
+    EXPECT_EQ(copy.entry_count(), 3u);
+    EXPECT_EQ(copy.Get("d"), nullptr);
+    ASSERT_NE(copy.Get("a"), nullptr);
+    EXPECT_EQ(copy.Get("a")->str, "old");
+    const auto& mine = copy.Sorted();
+    const auto& theirs = src.Sorted();
+    ASSERT_EQ(mine.size(), 3u);
+    EXPECT_EQ((*mine[0])->key, "a");
+    EXPECT_EQ((*mine[0])->entry.str, "old");
+    EXPECT_EQ((*mine[2])->key, "c");
+    for (const ReplRecordPtr* slot : mine) {
+      EXPECT_EQ(std::find(theirs.begin(), theirs.end(), slot), theirs.end())
+          << (*slot)->key;
+    }
+  }
+}
+
 // --------------------------------------------------------------- SsTable --
 
-std::vector<std::pair<std::string, ValueEntry>> MakeRows(int n) {
-  std::vector<std::pair<std::string, ValueEntry>> rows;
+std::vector<ReplRecordPtr> MakeRows(int n) {
+  std::vector<ReplRecordPtr> rows;
   for (int i = 0; i < n; i++) {
     char buf[16];
     snprintf(buf, sizeof(buf), "k%05d", i);
-    rows.emplace_back(buf, ValueEntry::String("v" + std::to_string(i),
-                                              static_cast<uint64_t>(i + 1)));
+    rows.push_back(MakeReplRecord(
+        buf, ValueEntry::String("v" + std::to_string(i),
+                                static_cast<uint64_t>(i + 1))));
   }
   return rows;
 }
@@ -118,6 +196,121 @@ TEST(SsTableTest, MinMaxKeys) {
   EXPECT_EQ(sst.max_key(), "k00009");
   EXPECT_TRUE(sst.KeyInRange("k00005"));
   EXPECT_FALSE(sst.KeyInRange("a"));
+}
+
+// ------------------------------------------------------------- MergeRuns --
+
+/// The compaction merge before the k-way heap: every input row copied
+/// into a std::map, newest run first (emplace keeps the first version),
+/// then one pass in key order applying the bottom-level drop.
+std::vector<std::pair<std::string, ValueEntry>> ReferenceMerge(
+    const std::vector<SsTablePtr>& runs_newest_first, bool drop_deletes,
+    Micros now, uint64_t* expired_dropped) {
+  std::map<std::string, ValueEntry> merged;
+  for (const auto& run : runs_newest_first) {
+    for (const ReplRecordPtr& rec : run->rows()) {
+      merged.emplace(rec->key, rec->entry);
+    }
+  }
+  std::vector<std::pair<std::string, ValueEntry>> rows;
+  for (auto& [key, entry] : merged) {
+    if (drop_deletes && (entry.IsTombstone() || entry.IsExpiredAt(now))) {
+      *expired_dropped += entry.IsExpiredAt(now) ? 1 : 0;
+      continue;
+    }
+    rows.emplace_back(key, std::move(entry));
+  }
+  return rows;
+}
+
+class MergeRunsDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(MergeRunsDifferentialTest, MatchesMapMerge) {
+  Rng rng(GetParam());
+  const Micros now = 1000;
+  uint64_t seq = 1;
+  uint64_t shadowed = 0;
+  uint64_t expired = 0;
+  for (int trial = 0; trial < 200; trial++) {
+    // 1-7 runs (some empty) over a small key space, so keys overlap
+    // across runs; every run is sorted with one version per key.
+    const int n_runs = 1 + static_cast<int>(rng.NextUint64(7));
+    const uint64_t key_space = 2 + rng.NextUint64(60);
+    std::vector<std::vector<ReplRecordPtr>> built(n_runs);
+    // Oldest run first, so newer runs carry higher sequences.
+    for (int r = n_runs - 1; r >= 0; r--) {
+      std::map<std::string, ValueEntry> rows;
+      const uint64_t n = rng.NextUint64(key_space + 1);
+      for (uint64_t i = 0; i < n; i++) {
+        std::string key = "k" + std::to_string(rng.NextUint64(key_space));
+        ValueEntry e;
+        const double kind = rng.NextDouble();
+        if (kind < 0.25) {
+          e = ValueEntry::Tombstone(0);
+        } else {
+          // A third of the live values carry a TTL; half of those have
+          // elapsed at `now`.
+          Micros expire_at = 0;
+          if (kind < 0.5) expire_at = rng.NextBool(0.5) ? now - 1 : now + 1;
+          e = ValueEntry::String("v" + std::to_string(seq), 0, expire_at);
+        }
+        e.seq = seq++;
+        rows[key] = e;
+      }
+      for (auto& [key, entry] : rows) {
+        built[r].push_back(MakeReplRecord(key, entry));
+      }
+    }
+    std::vector<SsTablePtr> runs;
+    for (int r = 0; r < n_runs; r++) {
+      runs.push_back(std::make_shared<SsTable>(r + 1, built[r]));
+    }
+    for (bool drop_deletes : {false, true}) {
+      uint64_t got_dropped = 0;
+      uint64_t want_dropped = 0;
+      const std::vector<ReplRecordPtr> got =
+          MergeRuns(runs, drop_deletes, now, &got_dropped);
+      const auto want =
+          ReferenceMerge(runs, drop_deletes, now, &want_dropped);
+      ASSERT_EQ(got.size(), want.size())
+          << "trial " << trial << " drop " << drop_deletes;
+      for (size_t i = 0; i < got.size(); i++) {
+        EXPECT_EQ(got[i]->key, want[i].first) << "trial " << trial;
+        EXPECT_EQ(got[i]->entry.seq, want[i].second.seq);
+        EXPECT_EQ(got[i]->entry.type, want[i].second.type);
+        EXPECT_EQ(got[i]->entry.str, want[i].second.str);
+        EXPECT_EQ(got[i]->entry.expire_at, want[i].second.expire_at);
+      }
+      EXPECT_EQ(got_dropped, want_dropped) << "trial " << trial;
+      expired += got_dropped;
+      if (!drop_deletes) {
+        for (const auto& run : runs) shadowed += run->entry_count();
+        shadowed -= got.size();
+      }
+    }
+  }
+  // The random runs did exercise both drop paths.
+  EXPECT_GT(shadowed, 0u);
+  EXPECT_GT(expired, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergeRunsDifferentialTest,
+                         ::testing::Values(11, 12, 13));
+
+// The merge keeps the inputs' records rather than copying them.
+TEST(MergeRunsTest, OutputSharesInputRecords) {
+  ReplRecordPtr old_a = MakeReplRecord("a", ValueEntry::String("old", 1));
+  ReplRecordPtr b = MakeReplRecord("b", ValueEntry::String("b", 2));
+  ReplRecordPtr new_a = MakeReplRecord("a", ValueEntry::String("new", 3));
+  std::vector<SsTablePtr> runs = {
+      std::make_shared<SsTable>(2, std::vector<ReplRecordPtr>{new_a}),
+      std::make_shared<SsTable>(1, std::vector<ReplRecordPtr>{old_a, b})};
+  uint64_t dropped = 0;
+  std::vector<ReplRecordPtr> rows = MergeRuns(runs, false, 0, &dropped);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].get(), new_a.get());
+  EXPECT_EQ(rows[1].get(), b.get());
 }
 
 // ------------------------------------------------------------- LsmEngine --
@@ -507,6 +700,29 @@ TEST_F(LsmEngineTest, ScanRangeResumesAcrossBatches) {
   }
 }
 
+// A batch that reaches its limit just as an older source's copy of the
+// last emitted key comes up has examined that copy: the resume point
+// must lie past the key, or the next batch emits it a second time.
+TEST_F(LsmEngineTest, ScanRangeResumesPastShadowedDuplicate) {
+  ASSERT_TRUE(engine_->Put("d:a", "old").ok());
+  ASSERT_TRUE(engine_->Put("d:b", "b").ok());
+  engine_->Flush();
+  ASSERT_TRUE(engine_->Put("d:a", "new").ok());  // Memtable shadows run.
+  ScanBuffer buf;
+  std::vector<std::string> seen;
+  std::string cursor = "d:";
+  for (int batches = 0; batches < 10; batches++) {
+    buf.Clear();
+    ScanResult r = engine_->ScanRange(cursor, "d;", 1, buf);
+    for (size_t i = 0; i < buf.size(); i++) {
+      seen.push_back(buf[i].key + "=" + buf[i].value);
+    }
+    if (r.done) break;
+    cursor = r.next_key;
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"d:a=new", "d:b=b"}));
+}
+
 // A range buried under arbitrarily many tombstones must still yield its
 // visible keys in one call (the legacy Scan's per-source over-collect
 // cap lost entries here).
@@ -723,6 +939,132 @@ TEST(LsmEngineReplicationTest, ResyncFromClonesStateAndCursor) {
     ASSERT_TRUE(replica.ApplyReplicated(*rec).ok());
   }
   EXPECT_EQ(replica.Get("after").value(), "resync");
+}
+
+/// Ships every record of `primary` the replica has not applied yet.
+void Ship(const LsmEngine& primary, LsmEngine* replica) {
+  primary.repl_log().ForEachDelta(
+      replica->applied_seq(), primary.applied_seq(),
+      [replica](const ReplRecordPtr& rec) {
+        EXPECT_TRUE(replica->ApplyReplicated(rec).ok());
+        return true;
+      });
+}
+
+/// The newest visible entry for `key` as MultiFind resolves it.
+const ValueEntry* Resolve(LsmEngine& engine, std::string_view key) {
+  const ValueEntry* entry = nullptr;
+  ReadIo io;
+  engine.MultiFind(&key, 1, &entry, &io);
+  return entry;
+}
+
+// One record per write end to end: a shipped write that both engines
+// flush and compact resolves to the very same ValueEntry on the primary
+// and on the replica — the logs, memtables, runs and merge outputs of
+// both engines all hold the primary's record.
+TEST(LsmEngineSharingTest, ReplicaResolvesToPrimaryRecordAfterCompaction) {
+  SimClock clock(0);
+  LsmOptions opts = ReplicatedOptions();
+  opts.runs_per_level_trigger = 1;
+  opts.max_levels = 3;
+  LsmEngine primary(opts, &clock);
+  LsmEngine replica(opts, &clock);
+  for (int round = 0; round < 6; round++) {
+    for (int i = 0; i < 10; i++) {
+      ASSERT_TRUE(primary.Put("k" + std::to_string(i),
+                              "v" + std::to_string(round))
+                      .ok());
+    }
+    Ship(primary, &replica);
+    primary.Flush();
+    replica.Flush();
+    primary.TruncateReplLogThrough(replica.applied_seq());
+  }
+  EXPECT_GT(primary.stats().compaction_count, 0u);
+  EXPECT_EQ(replica.stats().compaction_count,
+            primary.stats().compaction_count);
+  EXPECT_EQ(replica.LevelRunCounts(), primary.LevelRunCounts());
+  for (int i = 0; i < 10; i++) {
+    const std::string key = "k" + std::to_string(i);
+    const ValueEntry* p = Resolve(primary, key);
+    ASSERT_NE(p, nullptr) << key;
+    EXPECT_EQ(p->str, "v5");
+    EXPECT_EQ(Resolve(replica, key), p) << key;
+  }
+}
+
+// A resynced replica's memtable is a snapshot of the primary's: writes
+// the primary takes afterwards (new keys and overwrites) stay invisible
+// to the replica's scans and reads until they are shipped.
+TEST(LsmEngineSharingTest, ResyncedMemtableIgnoresLaterPrimaryWrites) {
+  SimClock clock(0);
+  LsmEngine primary(ReplicatedOptions(), &clock);
+  LsmEngine replica(ReplicatedOptions(), &clock);
+  for (const char* k : {"s:b", "s:a", "s:c"}) {
+    ASSERT_TRUE(primary.Put(k, "old").ok());
+  }
+  ASSERT_EQ(primary.ScanPrefix("s:").size(), 3u);  // Builds the view.
+  replica.ResyncFrom(primary);
+  ASSERT_TRUE(primary.Put("s:aa", "new").ok());
+  ASSERT_TRUE(primary.Put("s:b", "new").ok());
+
+  auto rows = replica.ScanPrefix("s:");
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].key, "s:a");
+  EXPECT_EQ(rows[1].key, "s:b");
+  EXPECT_EQ(rows[1].value, "old");
+  EXPECT_EQ(rows[2].key, "s:c");
+  EXPECT_TRUE(replica.Get("s:aa").status().IsNotFound());
+  EXPECT_EQ(primary.ScanPrefix("s:").size(), 4u);
+
+  Ship(primary, &replica);
+  EXPECT_EQ(replica.ScanPrefix("s:").size(), 4u);
+  EXPECT_EQ(replica.Get("s:b").value(), "new");
+}
+
+// Crash recovery rebuilds the memtable from the WAL's own records: the
+// visible state is the same, and memtable-resident keys resolve to the
+// very entries they resolved to before the crash.
+TEST(LsmEngineSharingTest, CrashRecoveryRestoresTheLoggedRecords) {
+  SimClock clock(0);
+  LsmOptions opts;
+  opts.memtable_flush_bytes = 1024;
+  opts.runs_per_level_trigger = 2;
+  LsmEngine engine(opts, &clock);
+  Rng rng(7);
+  for (int i = 0; i < 300; i++) {
+    const std::string key = "r:" + std::to_string(rng.NextUint64(40));
+    if (rng.NextBool(0.2)) {
+      ASSERT_TRUE(engine.Delete(key).ok());
+    } else if (rng.NextBool(0.2)) {
+      ASSERT_TRUE(engine.HSet(key, "f", std::to_string(i)).ok());
+    } else {
+      ASSERT_TRUE(engine.Put(key, std::to_string(i)).ok());
+    }
+  }
+  ASSERT_GT(engine.stats().flush_count, 0u);
+  ASSERT_GT(engine.memtable_bytes(), 0u);
+  const auto before = engine.ScanPrefix("r:", 1000);
+  std::vector<const ValueEntry*> entries_before;
+  for (int k = 0; k < 40; k++) {
+    entries_before.push_back(Resolve(engine, "r:" + std::to_string(k)));
+  }
+  const uint64_t mem_bytes = engine.memtable_bytes();
+
+  engine.CrashAndRecover();
+  EXPECT_EQ(engine.memtable_bytes(), mem_bytes);
+  const auto after = engine.ScanPrefix("r:", 1000);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); i++) {
+    EXPECT_EQ(after[i].key, before[i].key);
+    EXPECT_EQ(after[i].value, before[i].value);
+  }
+  for (int k = 0; k < 40; k++) {
+    EXPECT_EQ(Resolve(engine, "r:" + std::to_string(k)),
+              entries_before[static_cast<size_t>(k)])
+        << k;
+  }
 }
 
 }  // namespace
