@@ -5,8 +5,8 @@
 
 #include <string>
 
-#include "cache/au_lru.h"
 #include "cache/lru_cache.h"
+#include "cache/prefix_tree_store.h"
 #include "cache/sa_lru.h"
 #include "common/clock.h"
 #include "common/rng.h"
@@ -88,11 +88,12 @@ void BM_SaLruGet(benchmark::State& state) {
 }
 BENCHMARK(BM_SaLruGet);
 
-void BM_AuLruGet(benchmark::State& state) {
+// The proxy's content store, point path (AU-LRU contract).
+void BM_PrefixTreeStoreGet(benchmark::State& state) {
   SimClock clock;
   cache::AuLruOptions opts;
   opts.capacity_bytes = 64 << 20;
-  cache::AuLruCache cache(opts, &clock);
+  cache::PrefixTreeStore cache(opts, &clock);
   for (int i = 0; i < 50000; i++) {
     cache.Put("key" + std::to_string(i), std::string(128, 'v'), 160);
   }
@@ -102,7 +103,7 @@ void BM_AuLruGet(benchmark::State& state) {
         cache.Get("key" + std::to_string(rng.NextUint64(50000))));
   }
 }
-BENCHMARK(BM_AuLruGet);
+BENCHMARK(BM_PrefixTreeStoreGet);
 
 void BM_WfqPushPop(benchmark::State& state) {
   sched::WfqQueue queue;

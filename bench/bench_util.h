@@ -1,4 +1,4 @@
-// Shared helpers for the table/figure reproduction harnesses.
+// Shared helpers for the bench programs.
 #pragma once
 
 #include <algorithm>
@@ -73,65 +73,6 @@ inline WindowPercentiles PercentilesOver(
     w.p99_us /= n;
   }
   return w;
-}
-
-/// Aggregate of a tenant's metrics over a tick window.
-struct WindowStats {
-  double success_qps = 0;
-  double error_qps = 0;
-  double throttled_qps = 0;
-  double cache_hit_ratio = 0;
-  double mean_latency_us = 0;
-  double ru_per_sec = 0;
-  double read_ratio = 0;
-  double mean_value_bytes = 0;
-};
-
-/// Aggregates History(tenant)[from, to) into one WindowStats.
-inline WindowStats Aggregate(const sim::ClusterSim& cluster, TenantId tenant,
-                             size_t from, size_t to) {
-  WindowStats w;
-  const auto& h = cluster.History(tenant);
-  if (to > h.size()) to = h.size();
-  if (from >= to) return w;
-  uint64_t ok = 0, err = 0, thr = 0, proxy_hits = 0, node_hits = 0;
-  uint64_t reads = 0, lat_n = 0, completed = 0;
-  double lat_sum = 0, ru = 0;
-  for (size_t i = from; i < to; i++) {
-    const auto& t = h[i];
-    ok += t.ok;
-    err += t.errors;
-    thr += t.throttled;
-    proxy_hits += t.proxy_hits;
-    node_hits += t.node_cache_hits;
-    reads += t.reads_completed + t.proxy_hits;
-    lat_sum += t.latency_sum;
-    lat_n += t.latency_count;
-    ru += t.ru_charged;
-    completed += t.ok;
-  }
-  double secs = static_cast<double>(to - from);
-  w.success_qps = static_cast<double>(ok) / secs;
-  w.error_qps = static_cast<double>(err) / secs;
-  w.throttled_qps = static_cast<double>(thr) / secs;
-  w.cache_hit_ratio =
-      reads == 0 ? 0
-                 : static_cast<double>(proxy_hits + node_hits) /
-                       static_cast<double>(reads);
-  w.mean_latency_us = lat_n == 0 ? 0 : lat_sum / static_cast<double>(lat_n);
-  w.ru_per_sec = ru / secs;
-  w.read_ratio = completed == 0
-                     ? 0
-                     : static_cast<double>(reads) /
-                           static_cast<double>(completed);
-  return w;
-}
-
-/// Bulk-loads a tenant's key space (see ClusterSim::PreloadKeys).
-inline void PreloadTenant(sim::ClusterSim& cluster, TenantId tenant,
-                          uint64_t num_keys, uint64_t value_bytes,
-                          double value_sigma = 0.3) {
-  cluster.PreloadKeys(tenant, num_keys, value_bytes, value_sigma);
 }
 
 }  // namespace bench

@@ -24,8 +24,9 @@
 // refresh_min_hits hits inside the refresh window), Put resetting the
 // refresh bookkeeping, and strict global-LRU eviction. A point-only
 // workload observes bit-identical hits, misses, refresh requests and
-// eviction order to cache::AuLruCache, which keeps every golden digest
-// and proxy-cache bench stable across the swap.
+// eviction order to the flat AU-LRU cache it replaced (kept as the
+// reference model tests/au_lru_reference.h), which keeps every golden
+// digest and proxy-cache bench stable across the swap.
 //
 // Capacity accounting is SA-LRU-style: every payload is charged to a
 // power-of-two size class that tracks resident bytes and a decayed hit
@@ -42,7 +43,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/au_lru.h"
 #include "cache/cache_stats.h"
 #include "common/clock.h"
 #include "common/flat_map.h"
@@ -50,6 +50,31 @@
 
 namespace abase {
 namespace cache {
+
+/// AU-LRU (paper Section 4.4) tuning: a TTL'd LRU whose hot entries,
+/// accessed close to expiry, are flagged for a background re-fetch so a
+/// hot key never actually expires and never stampedes the DataNode.
+struct AuLruOptions {
+  uint64_t capacity_bytes = 8ull << 20;  ///< Proxies have small memory
+                                         ///< budgets (<10 GB in prod;
+                                         ///< scaled down here).
+  Micros default_ttl = 60 * kMicrosPerSecond;
+  /// An access within this window before expiry marks the entry for
+  /// active refresh.
+  Micros refresh_window = 10 * kMicrosPerSecond;
+  /// Minimum accesses inside the current TTL period for an entry to be
+  /// considered hot enough to refresh proactively.
+  uint32_t refresh_min_hits = 2;
+};
+
+/// Result of an AU-LRU lookup. `value` borrows the cached string — it
+/// stays valid only until the next cache mutation; callers that need the
+/// payload beyond that must copy it (the hot path only needs the size).
+struct AuLookup {
+  bool hit = false;
+  bool needs_refresh = false;      ///< Caller should re-fetch + Put soon.
+  const std::string* value = nullptr;  ///< Non-null only when hit.
+};
 
 /// Tree-specific counters, on top of the shared CacheStats (which the
 /// store keeps with AU-LRU-identical semantics across point and scan
@@ -152,7 +177,7 @@ class PrefixTreeStore {
   /// Drops everything (the conservative full-flush cutover mode).
   void Clear();
 
-  // -- Introspection (AuLruCache-compatible surface) ------------------------
+  // -- Introspection (AU-LRU-compatible surface) ----------------------------
 
   uint64_t used_bytes() const { return used_; }
   uint64_t capacity_bytes() const { return options_.capacity_bytes; }

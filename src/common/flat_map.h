@@ -9,9 +9,15 @@
 // allocates in steady state once the table has grown to working-set
 // size.
 //
-// Deleted slots become tombstones; the table rehashes in place when
-// live + dead slots exceed 7/10 of capacity, which bounds probe
-// lengths under the insert/erase churn of long-running simulations.
+// Deleted slots become tombstones. When live + dead slots exceed 7/10
+// of capacity the table rehashes into a block sized for twice the live
+// count, which bounds probe lengths under the insert/erase churn of
+// long-running simulations. A purge that keeps the capacity moves the
+// live entries into a retained spare block of that capacity and keeps
+// the old block as the next spare, so steady churn stops allocating
+// after its first purge (the price is one spare block). The slot
+// layout depends only on capacity and insert order, never on which
+// block holds it.
 // Iteration order is unspecified — callers that need deterministic
 // order (the bit-identity contract) must iterate an external id-ordered
 // index, never the map itself.
@@ -193,9 +199,13 @@ class FlatMap64 {
 
     cap_ = new_cap;
     mask_ = cap_ - 1;
-    storage_.reset(new unsigned char[cap_ * (sizeof(V) + sizeof(uint64_t) +
-                                             1) +
-                                     alignof(V)]);
+    if (new_cap == old_cap && spare_ != nullptr) {
+      storage_ = std::move(spare_);
+    } else {
+      storage_.reset(new unsigned char[cap_ * (sizeof(V) + sizeof(uint64_t) +
+                                               1) +
+                                       alignof(V)]);
+    }
     unsigned char* p = storage_.get();
     uintptr_t raw = reinterpret_cast<uintptr_t>(p);
     uintptr_t aligned =
@@ -220,6 +230,12 @@ class FlatMap64 {
         }
       }
     }
+    // The spare always has the current capacity (or is null).
+    if (new_cap == old_cap) {
+      spare_ = std::move(old_storage);
+    } else {
+      spare_.reset();
+    }
   }
 
   void DestroyAll() {
@@ -230,6 +246,7 @@ class FlatMap64 {
 
   void Release() {
     storage_.reset();
+    spare_.reset();
     state_ = nullptr;
     keys_ = nullptr;
     slots_ = nullptr;
@@ -241,6 +258,7 @@ class FlatMap64 {
 
   void Swap(FlatMap64& other) {
     std::swap(storage_, other.storage_);
+    std::swap(spare_, other.spare_);
     std::swap(state_, other.state_);
     std::swap(keys_, other.keys_);
     std::swap(slots_, other.slots_);
@@ -251,6 +269,8 @@ class FlatMap64 {
   }
 
   std::unique_ptr<unsigned char[]> storage_;
+  /// Block of capacity cap_ kept from the last same-capacity purge.
+  std::unique_ptr<unsigned char[]> spare_;
   uint8_t* state_ = nullptr;
   uint64_t* keys_ = nullptr;
   V* slots_ = nullptr;

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/au_lru.h"
 #include "cache/prefix_tree_store.h"
 #include "common/flat_map.h"
 #include "common/clock.h"

@@ -1,10 +1,12 @@
 // Tests for src/cache: plain LRU, size-aware SA-LRU (Section 4.4
-// DataNode cache), and active-update AU-LRU (Section 4.4 proxy cache).
+// DataNode cache), and the contract of the active-update AU-LRU
+// reference model (Section 4.4 proxy cache) that PrefixTreeStore
+// matches.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "cache/au_lru.h"
+#include "au_lru_reference.h"
 #include "cache/lru_cache.h"
 #include "cache/sa_lru.h"
 #include "common/clock.h"

@@ -4,11 +4,25 @@
 // and non-trivial value types.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <unordered_map>
 
 #include "common/flat_map.h"
+
+// FlatMap64 allocates its slot blocks with new[]; counting array
+// allocations shows whether a rehash allocated.
+static size_t g_array_allocs = 0;
+void* operator new[](std::size_t n) {
+  ++g_array_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace abase {
 namespace {
@@ -80,6 +94,36 @@ TEST(FlatMapTest, NonTrivialValues) {
   EXPECT_EQ(m.Find(1), nullptr);
   m[5] = "after-clear";
   EXPECT_EQ(*m.Find(5), "after-clear");
+}
+
+TEST(FlatMapTest, SameCapacityPurgeReusesBlockUnderChurn) {
+  // The proxy's RU-estimate ledger pattern: a bounded window of live ids,
+  // one insert and one erase per request. Tombstones trigger a purge
+  // every few hundred ops, and every purge keeps the capacity.
+  FlatMap64<uint64_t> m;
+  constexpr uint64_t kWindow = 100;
+  uint64_t next = 0;
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; i++) {
+      m[next] = next * 3;
+      if (next >= kWindow) {
+        ASSERT_TRUE(m.Erase(next - kWindow));
+      }
+      next++;
+    }
+  };
+  churn(2000);  // Grows to working size; the first purge keeps a spare.
+  const size_t cap = m.capacity();
+  const size_t allocs = g_array_allocs;
+  churn(20000);  // ~75 more purges.
+  EXPECT_EQ(m.capacity(), cap);
+  EXPECT_EQ(g_array_allocs, allocs);
+  EXPECT_EQ(m.size(), kWindow);
+  for (uint64_t k = next - kWindow; k < next; k++) {
+    ASSERT_NE(m.Find(k), nullptr) << k;
+    EXPECT_EQ(*m.Find(k), k * 3);
+  }
+  EXPECT_EQ(m.Find(next - kWindow - 1), nullptr);
 }
 
 TEST(FlatMapTest, ReserveAvoidsRehash) {

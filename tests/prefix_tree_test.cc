@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/au_lru.h"
+#include "au_lru_reference.h"
 #include "cache/prefix_tree_store.h"
 #include "common/clock.h"
 #include "common/hash.h"
