@@ -38,10 +38,6 @@
 #include "sim/cluster_sim.h"
 #include "sim/workload.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 using namespace abase;
 
 namespace {
@@ -1090,7 +1086,8 @@ Rows ForecastAblation() {
     if (pfit.ok()) prophet = mae(pfit.value().Forecast(horizon), truth);
     double hist = mae(
         forecast::HistoricalAverage(train, period).Forecast(horizon), truth);
-    double ens = 1e18, under = 0;
+    // A failed fit scores as the worst forecast and an unbounded miss.
+    double ens = 1e18, under = 1e18;
     auto e = forecast::EnsembleForecast(train, TimeSeries(), horizon);
     if (e.ok()) {
       ens = mae(e.value().prediction, truth);
@@ -1399,11 +1396,6 @@ int main() {
       diverges += r.kind == Kind::kUngated && !r.holds;
     }
     std::fflush(stdout);
-#if defined(__GLIBC__)
-    // Each scenario has freed its cluster by now; returning those pages
-    // keeps the run's peak RSS at the largest scenario's, not the sum.
-    malloc_trim(0);
-#endif
   }
   std::printf("\n%d gated claims: %d pass, %d fail; %d ungated claims "
               "diverge from the paper\n",

@@ -599,7 +599,7 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
             ctx.probe_status = Status::NotFound("key absent");
           } else {
             ctx.probe_status = Status::OK();
-            ctx.probe_value.assign(e->str);
+            e->str.CopyTo(&ctx.probe_value);
           }
           break;
         case OpType::kHGet:

@@ -313,8 +313,11 @@ class DataNode {
   }
 
   /// Returns a slab slot to the free list. The slot's strings keep their
-  /// capacity for the next request that lands on it.
+  /// capacity for the next request that lands on it (up to
+  /// ClearRecycled's bound).
   void ReleasePending(uint32_t slot) {
+    ClearRecycled(pending_pool_[slot].req.value);
+    ClearRecycled(pending_pool_[slot].probe_value);
     pending_pool_[slot].active = false;
     pending_free_.push_back(slot);
     pending_live_--;

@@ -12,6 +12,19 @@
 
 namespace abase {
 
+/// Empties a recycled request slot's string. Slots keep their buffers so
+/// steady traffic allocates nothing, but a buffer grown past 64 KB for a
+/// rare large value is freed: otherwise every slot would come to pin the
+/// largest value it ever carried.
+inline void ClearRecycled(std::string& s) {
+  constexpr size_t kMaxRecycledBytes = 64 << 10;
+  if (s.capacity() > kMaxRecycledBytes) {
+    std::string().swap(s);
+  } else {
+    s.clear();
+  }
+}
+
 /// A client operation as issued by a tenant application.
 struct ClientRequest {
   uint64_t req_id = 0;

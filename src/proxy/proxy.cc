@@ -121,6 +121,7 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
   fwd.op = req.op;
   fwd.key = req.key;
   fwd.field = req.field;
+  ClearRecycled(fwd.value);
   fwd.value = req.value;
   fwd.ttl = req.ttl;
   fwd.scan_limit = req.scan_limit;

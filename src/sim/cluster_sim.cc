@@ -143,6 +143,7 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
   // response path: make sure the Replicate walk visits this tenant.
   repl_active_.insert(tenant);
   Rng rng(977 * (static_cast<uint64_t>(tenant) + 1));
+  std::string value;
   for (uint64_t i = 0; i < num_keys; i++) {
     std::string key =
         "t" + std::to_string(tenant) + ":k" + std::to_string(i);
@@ -156,7 +157,8 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
         value_sigma);
     size_t len = static_cast<size_t>(
         std::min(std::max(bytes, 1.0), 1024.0 * 1024));
-    (void)engine->Put(key, std::string(len, 'v'));
+    value.assign(len, 'v');
+    (void)engine->Put(key, value);
   }
 
   // An onboarded tenant's replicas already hold the dataset: seed each

@@ -145,7 +145,7 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
     req.tenant = tenant_;
     req.issued_at = now;
     req.field.clear();
-    req.value.clear();
+    ClearRecycled(req.value);
     req.ttl = 0;
     req.scan_limit = 0;
     req.consistency = Consistency::kPrimary;

@@ -32,10 +32,11 @@ void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry) {
   MaybeFlush();
 }
 
-Status LsmEngine::Put(const std::string& key, std::string value, Micros ttl) {
+Status LsmEngine::Put(const std::string& key, std::string_view value,
+                      Micros ttl) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   Micros expire_at = ttl > 0 ? clock_->NowMicros() + ttl : 0;
-  WriteEntry(key, ValueEntry::String(std::move(value), 0, expire_at));
+  WriteEntry(key, ValueEntry::String(value, 0, expire_at));
   return Status::OK();
 }
 
@@ -203,7 +204,7 @@ Result<std::string> LsmEngine::Get(std::string_view key, ReadIo* io) {
   if (e == nullptr || e->type != ValueType::kString) {
     return Status::NotFound("key absent");
   }
-  return e->str;
+  return e->str.ToString();
 }
 
 Result<std::string> LsmEngine::HGet(std::string_view key,
@@ -341,7 +342,7 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       ScanEntry& se = out.Append();
       se.key = key;
       if (entry.type == ValueType::kString) {
-        se.value = entry.str;
+        entry.str.CopyTo(&se.value);
       } else {
         for (const auto& [f, v] : entry.hash) {
           se.value += f;

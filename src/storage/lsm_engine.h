@@ -126,7 +126,7 @@ class LsmEngine {
 
   /// SET. `ttl` of 0 means no expiry; otherwise the value expires at
   /// now + ttl.
-  Status Put(const std::string& key, std::string value, Micros ttl = 0);
+  Status Put(const std::string& key, std::string_view value, Micros ttl = 0);
 
   /// GET. NotFound for absent, deleted, or expired keys. If `io` is
   /// non-null it receives the probe cost breakdown.

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,13 +56,70 @@ enum class ValueType : uint8_t {
   kTombstone = 2,  ///< Deletion marker; removed at bottom-level compaction.
 };
 
+/// The bytes of a string value. A value that is one byte repeated (the
+/// synthetic values the workloads and preloads write) is kept as that
+/// byte and a count, so storing it costs no heap block of its size; any
+/// other value keeps its bytes. Either way it reads back exactly as
+/// written, and size() is its logical length.
+class Payload {
+ public:
+  Payload() = default;
+  explicit Payload(std::string_view bytes) {
+    const size_t n = bytes.size();
+    if (n >= kMinRun && n <= std::numeric_limits<uint32_t>::max() &&
+        std::memcmp(bytes.data(), bytes.data() + 1, n - 1) == 0) {
+      run_len_ = static_cast<uint32_t>(n);
+      run_byte_ = bytes[0];
+    } else {
+      bytes_.assign(bytes.data(), bytes.size());
+    }
+  }
+
+  size_t size() const { return run_len_ != 0 ? run_len_ : bytes_.size(); }
+
+  /// Replaces `*out`'s contents with the value (reusing its capacity).
+  void CopyTo(std::string* out) const {
+    if (run_len_ != 0) {
+      out->assign(run_len_, run_byte_);
+    } else {
+      out->assign(bytes_);
+    }
+  }
+
+  std::string ToString() const {
+    std::string s;
+    CopyTo(&s);
+    return s;
+  }
+
+  bool operator==(std::string_view other) const {
+    if (run_len_ == 0) return bytes_ == other;
+    return other.size() == run_len_ &&
+           std::all_of(other.begin(), other.end(),
+                       [this](char c) { return c == run_byte_; });
+  }
+  bool operator==(const Payload& other) const {
+    if (run_len_ == 0) return other == std::string_view(bytes_);
+    if (other.run_len_ == 0) return *this == std::string_view(other.bytes_);
+    return run_len_ == other.run_len_ && run_byte_ == other.run_byte_;
+  }
+
+ private:
+  /// Shorter runs keep their bytes: the heap block saved is small.
+  static constexpr size_t kMinRun = 64;
+
+  std::string bytes_;
+  uint32_t run_len_ = 0;  ///< Non-zero: the value is run_byte_ x run_len_.
+  char run_byte_ = 0;
+};
+
 /// A versioned value. `seq` orders versions of the same key across runs;
 /// higher sequence wins. `expire_at` of 0 means "no TTL".
 struct ValueEntry {
   ValueType type = ValueType::kString;
   uint64_t seq = 0;
   Micros expire_at = 0;
-  std::string str;   ///< kString payload.
+  Payload str;       ///< kString payload.
   HashFields hash;   ///< kHash payload, sorted by field.
 
   bool IsTombstone() const { return type == ValueType::kTombstone; }
@@ -79,13 +138,13 @@ struct ValueEntry {
     return total;
   }
 
-  static ValueEntry String(std::string value, uint64_t seq,
+  static ValueEntry String(std::string_view value, uint64_t seq,
                            Micros expire_at = 0) {
     ValueEntry e;
     e.type = ValueType::kString;
     e.seq = seq;
     e.expire_at = expire_at;
-    e.str = std::move(value);
+    e.str = Payload(value);
     return e;
   }
 

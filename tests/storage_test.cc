@@ -521,6 +521,40 @@ TEST(LsmEngineNoWalTest, CrashKeepsFlushedWrites) {
   EXPECT_TRUE(engine.Get("unflushed").status().IsNotFound());
 }
 
+TEST(PayloadTest, RunsAndMixedBytesReadBackExactly) {
+  const std::string run(200000, 'v');
+  std::string mixed = run;
+  mixed[123456] = 'w';
+  const Payload a(run), b(mixed), c(std::string(10, 'v'));
+  EXPECT_EQ(a.size(), run.size());
+  EXPECT_EQ(a.ToString(), run);
+  EXPECT_EQ(b.ToString(), mixed);
+  EXPECT_EQ(c.ToString(), std::string(10, 'v'));
+  EXPECT_TRUE(a == run);
+  EXPECT_FALSE(a == mixed);
+  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(a == Payload(run));
+  EXPECT_FALSE(a == Payload(std::string(200000, 'x')));
+  std::string out = "stale";
+  a.CopyTo(&out);
+  EXPECT_EQ(out, run);
+}
+
+TEST_F(LsmEngineTest, LargeRunValuesSurviveFlushAndScan) {
+  const std::string big(300000, 'v');
+  std::string odd = big;
+  odd.back() = 'x';
+  ASSERT_TRUE(engine_->Put("a", big).ok());
+  ASSERT_TRUE(engine_->Put("b", odd).ok());
+  engine_->Flush();
+  EXPECT_EQ(engine_->Get("a").value(), big);
+  EXPECT_EQ(engine_->Get("b").value(), odd);
+  auto rows = engine_->Scan("a", "c");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].value, big);
+  EXPECT_EQ(rows[1].value, odd);
+}
+
 TEST_F(LsmEngineTest, ReadIoReportsMemtableVsDisk) {
   ASSERT_TRUE(engine_->Put("hot", "v").ok());
   ReadIo io;
