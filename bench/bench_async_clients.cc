@@ -53,7 +53,6 @@ Cluster MakeCluster(int workers) {
   // times so the grid reports real p50/p95/p99 micros next to the
   // tick-granular latency (proxy cache hits settle outside the data
   // plane and don't contribute samples).
-  copts.sim.node.service_time.enabled = true;
   copts.sim.node.service_time.dist = latency::DistKind::kLognormal;
   copts.sim.node.service_time.mean_micros = 150;
   copts.sim.node.service_time.sigma = 1.2;

@@ -173,7 +173,6 @@ FailoverRun RunFailover(int replicas, int workers) {
   // Timed settle: data-plane responses carry sampled sub-tick service
   // times, so the percentile columns show what the outage does to the
   // tail (queueing on the survivors), not just the error count.
-  opt.node.service_time.enabled = true;
   opt.node.service_time.dist = latency::DistKind::kLognormal;
   opt.node.service_time.mean_micros = 150;
   opt.node.service_time.sigma = 1.2;

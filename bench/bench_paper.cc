@@ -1282,9 +1282,10 @@ Rows RuWfqAblation() {
       }
     }
     wfq.RunTick(
-        [](const sched::SchedRequest&) {
-          return sched::CacheProbe{true, false, 0};
+        [](const sched::SchedRequest*, size_t n, sched::CacheProbe* out) {
+          std::fill(out, out + n, sched::CacheProbe{true, false, 0});
         },
+        [](const sched::SchedRequest&) { return false; },
         [&](const sched::SchedRequest& r, sched::SchedOutcome) {
           if (r.tenant == 2) {
             wfq_wait += tick - enq_tick[r.req_id];

@@ -55,7 +55,6 @@ Cluster MakeCluster(bool hedging) {
   copts.sim.seed = 23;
   copts.sim.node.wfq.cpu_budget_ru = 100000;
   copts.sim.node.ru_capacity = 100000;
-  copts.sim.node.service_time.enabled = true;
   copts.sim.node.service_time.dist = latency::DistKind::kLognormal;
   copts.sim.node.service_time.mean_micros = 150;
   copts.sim.node.service_time.sigma = 1.2;

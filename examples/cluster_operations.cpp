@@ -279,7 +279,6 @@ int main() {
   auto make_timed = [&](bool defended) {
     ClusterOptions topts;
     topts.sim.seed = 1234;
-    topts.sim.node.service_time.enabled = true;
     topts.sim.node.service_time.dist = latency::DistKind::kLognormal;
     topts.sim.node.service_time.mean_micros = 150;
     topts.sim.node.service_time.sigma = 1.2;

@@ -1,11 +1,10 @@
 // ServiceTimeModel — per-request sampled service times.
 //
-// The seed data plane charged every request a fixed
-// `cpu_service_micros`, so p50 == p99 at every load point and nothing
-// tail-related was measurable. This model replaces the fixed base with a
-// draw from a configured distribution (fixed, exponential, lognormal)
-// while keeping the WFQ-backlog and disk components of the composition
-// untouched.
+// Every request's base CPU service time is a draw from a configured
+// distribution (fixed, exponential, lognormal); the WFQ-backlog,
+// queueing and disk components of the latency add on top. The default,
+// kFixed, charges every request the same mean, so p50 == p99 and nothing
+// tail-related is measurable; kLognormal gives the heavy tail.
 //
 // Determinism contract: nodes tick concurrently under the parallel
 // data-plane executor, so the model is STATELESS — a sample is a pure
@@ -33,10 +32,13 @@ enum class DistKind : uint8_t {
 const char* DistKindName(DistKind kind);
 
 struct ServiceTimeOptions {
-  /// Master gate. Off = the node's fixed cpu_service_micros base is used
-  /// unchanged, preserving bit-identical legacy runs (golden digests).
+  /// No-op, kept only so callers that still set it compile; the draw is
+  /// always taken, and `dist` = kFixed (the default) is the seed's fixed
+  /// base. Remove once no caller sets it.
   bool enabled = false;
-  DistKind dist = DistKind::kLognormal;
+  /// kFixed with the default mean draws exactly 150us, the node's
+  /// cpu_service_micros default, for every request.
+  DistKind dist = DistKind::kFixed;
   /// Mean of the sampled service time, whatever the distribution.
   double mean_micros = 150.0;
   /// Lognormal shape (sigma of the underlying normal). 1.2 gives
@@ -53,7 +55,6 @@ class ServiceTimeModel {
   ServiceTimeModel() = default;
   explicit ServiceTimeModel(const ServiceTimeOptions& options);
 
-  bool enabled() const { return options_.enabled; }
   const ServiceTimeOptions& options() const { return options_; }
 
   /// One service-time draw for (stream, req_id). Pure: depends only on

@@ -55,11 +55,8 @@ DataNode::DataNode(NodeId id, DataNodeOptions options, const Clock* clock)
 
 Micros DataNode::SampleServiceMicros(TenantId tenant, uint64_t req_id) const {
   // Stream per (node, tenant): draws are independent across both axes.
-  Micros micros =
-      service_model_.enabled()
-          ? service_model_.Sample(
-                MixSeed(static_cast<uint64_t>(id_), tenant), req_id)
-          : options_.cpu_service_micros;
+  Micros micros = service_model_.Sample(
+      MixSeed(static_cast<uint64_t>(id_), tenant), req_id);
   if (service_degradation_ != 1.0) {
     micros = static_cast<Micros>(
         static_cast<double>(micros) * service_degradation_);
@@ -400,22 +397,13 @@ void DataNode::Submit(const NodeRequest& req) {
   wfq_.Enqueue(sreq);
 }
 
-sched::CacheProbe DataNode::ProbeRequest(const sched::SchedRequest& sreq) {
-  sched::CacheProbe probe;
-  PendingContext* pit = PendingAt(sreq);
-  if (pit == nullptr) {
-    // Timed out of the queue before the scheduler reached it.
-    probe.canceled = true;
-    return probe;
-  }
-  PendingContext& ctx = *pit;
+sched::CacheProbe DataNode::ProbeWriteOrScan(PendingContext& ctx) {
   const NodeRequest& req = ctx.req;
-
+  sched::CacheProbe probe;
   if (!IsReadOp(req.op)) {
     // Writes are absorbed by the WAL + memtable (CPU layer); flush and
     // compaction I/O is charged to the disk as background load below, in
     // ExecuteOnEngine.
-    probe.hit = false;
     probe.needs_io = false;
     return probe;
   }
@@ -424,128 +412,100 @@ sched::CacheProbe DataNode::ProbeRequest(const sched::SchedRequest& sreq) {
   // reads) and frame the result into the slab slot. Scans bypass the
   // node's point cache — a range result is not addressable by one cache
   // key, and the proxy's prefix-tree store is the scan-caching layer.
-  if (req.op == OpType::kScan) {
-    PartitionReplica& rep = *FindReplica(req.tenant, req.partition);
-    scan_buffer_.Clear();
-    storage::ScanResult res = rep.engine->ScanRange(
-        req.key, req.field, req.scan_limit, scan_buffer_);
-    ctx.probe_status = Status::OK();
-    ctx.probe_value.clear();
-    for (size_t k = 0; k < scan_buffer_.size(); k++) {
-      AppendScanEntry(ctx.probe_value, scan_buffer_[k].key,
-                      scan_buffer_[k].value);
-    }
-    ctx.probe_scan_entries = res.entries;
-    ctx.probed = true;
-    ctx.probe_io = storage::ReadIo{};
-    ctx.probe_io.block_reads = res.block_reads;
-    probe.hit = false;
-    probe.needs_io = res.block_reads > 0;
-    probe.io_blocks = std::max(res.block_reads, 0);
-    return probe;
-  }
-
-  // Reads: DataNode cache first (GET and HGETALL payloads are cached).
-  // The hit's value and TTL are retained so completion reuses them.
-  if (req.op == OpType::kGet || req.op == OpType::kHGetAll) {
-    Micros expire_at = 0;
-    // sreq.key_hash was prefix-continued at Submit; the probe skips
-    // re-hashing the cache key and only builds it for collision compare.
-    if (const std::string* v =
-            cache_.GetRefHashed(sreq.key_hash, CacheKeyFor(req), &expire_at)) {
-      ctx.probed = true;
-      ctx.probe_status = Status::OK();
-      ctx.probe_value.assign(*v);  // Reuses the slab slot's capacity.
-      ctx.probe_io.expire_at = expire_at;
-      probe.hit = true;
-      probe.needs_io = false;
-      return probe;
-    }
-  }
-
-  // Cache miss: execute the engine read now to learn the I/O footprint,
-  // and retain the outcome so completion does not re-execute it. The
-  // I/O-WFQ stage then models the disk service for the blocks read.
-  storage::ReadIo io;
+  assert(req.op == OpType::kScan);
   PartitionReplica& rep = *FindReplica(req.tenant, req.partition);
+  scan_buffer_.Clear();
+  storage::ScanResult res = rep.engine->ScanRange(
+      req.key, req.field, req.scan_limit, scan_buffer_);
+  ctx.probe_status = Status::OK();
+  ctx.probe_value.clear();
+  for (size_t k = 0; k < scan_buffer_.size(); k++) {
+    AppendScanEntry(ctx.probe_value, scan_buffer_[k].key,
+                    scan_buffer_[k].value);
+  }
+  ctx.probe_scan_entries = res.entries;
+  ctx.probed = true;
+  ctx.probe_io = storage::ReadIo{};
+  ctx.probe_io.block_reads = res.block_reads;
+  probe.needs_io = res.block_reads > 0;
+  probe.io_blocks = std::max(res.block_reads, 0);
+  return probe;
+}
+
+void DataNode::ExtractPointRead(const storage::ValueEntry* e,
+                                PendingContext& ctx) {
+  const NodeRequest& req = ctx.req;
   switch (req.op) {
-    case OpType::kGet: {
-      auto r = rep.engine->Get(req.key, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) ctx.probe_value = std::move(r).value();
-      break;
-    }
-    case OpType::kHGet: {
-      auto r = rep.engine->HGet(req.key, req.field, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) ctx.probe_value = std::move(r).value();
-      break;
-    }
-    case OpType::kHLen: {
-      auto r = rep.engine->HLen(req.key, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) {
-        ctx.probe_value = std::to_string(r.value());
-        ctx.probe_hash_fields = r.value();
+    case OpType::kGet:
+      if (e == nullptr || e->type != storage::ValueType::kString) {
+        ctx.probe_status = Status::NotFound("key absent");
+      } else {
+        ctx.probe_status = Status::OK();
+        e->str.CopyTo(&ctx.probe_value);  // Reuses the slot's capacity.
       }
       break;
-    }
-    case OpType::kHGetAll: {
-      auto r = rep.engine->HGetAll(req.key, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) {
-        ctx.probe_hash_fields = r.value().size();
-        ctx.probe_value = SerializeHash(r.value());
+    case OpType::kHGet:
+      if (e == nullptr || e->type != storage::ValueType::kHash) {
+        ctx.probe_status = Status::NotFound("hash absent");
+      } else if (const std::string* v =
+                     storage::FindField(e->hash, req.field)) {
+        ctx.probe_status = Status::OK();
+        ctx.probe_value.assign(*v);
+      } else {
+        ctx.probe_status = Status::NotFound("field absent");
       }
       break;
-    }
+    case OpType::kHLen:
+      if (e == nullptr || e->type != storage::ValueType::kHash) {
+        ctx.probe_status = Status::NotFound("hash absent");
+      } else {
+        ctx.probe_status = Status::OK();
+        ctx.probe_value = std::to_string(e->hash.size());
+        ctx.probe_hash_fields = e->hash.size();
+      }
+      break;
+    case OpType::kHGetAll:
+      if (e == nullptr || e->type != storage::ValueType::kHash) {
+        ctx.probe_status = Status::NotFound("hash absent");
+      } else {
+        ctx.probe_status = Status::OK();
+        ctx.probe_hash_fields = e->hash.size();
+        ctx.probe_value = SerializeHash(e->hash);
+      }
+      break;
     default:
       break;
   }
-  ctx.probed = true;
-  ctx.probe_io = io;
-  probe.hit = false;
-  probe.needs_io = io.block_reads > 0;
-  probe.io_blocks = std::max(io.block_reads, 0);
-  return probe;
 }
 
 void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
                           sched::CacheProbe* out) {
-  // Singletons (every write, and any lone read) take the serial path —
-  // identical by construction and skips the grouping scratch.
-  if (n == 1) {
-    out[0] = ProbeRequest(reqs[0]);
-    return;
-  }
-
   // Pass 1 in pop order: node-cache probes (cache reads must observe pop
-  // order, matching the serial path); misses queue for the engine pass.
+  // order); misses queue for the engine pass. Writes (always singleton
+  // batches) and scans are probed here directly — MultiFind's point-key
+  // grouping below does not apply to them.
   batch_miss_.clear();
   for (size_t i = 0; i < n; i++) {
     out[i] = sched::CacheProbe{};
     PendingContext* pit = PendingAt(reqs[i]);
-    if (pit == nullptr) {
-      // The scheduler cancel-checks at pop time; defensive all the same.
-      out[i].canceled = true;
-      continue;
-    }
+    // The scheduler's CancelFn drops released slots at pop.
+    assert(pit != nullptr);
     PendingContext& ctx = *pit;
     const NodeRequest& req = ctx.req;
     if (!IsReadOp(req.op) || req.op == OpType::kScan) {
-      // Writes arrive as singleton batches (defensive fall-through);
-      // scans run their merge iterator in the serial probe — MultiFind's
-      // point-key grouping below does not apply to a range.
-      out[i] = ProbeRequest(reqs[i]);
+      out[i] = ProbeWriteOrScan(ctx);
       continue;
     }
+    // GET and HGETALL payloads are cached. The hit's value and TTL are
+    // retained so completion reuses them. key_hash was prefix-continued
+    // at Submit; the key string is built only for the collision compare.
     if (req.op == OpType::kGet || req.op == OpType::kHGetAll) {
       Micros expire_at = 0;
       if (const std::string* v = cache_.GetRefHashed(
               reqs[i].key_hash, CacheKeyFor(req), &expire_at)) {
         ctx.probed = true;
         ctx.probe_status = Status::OK();
-        ctx.probe_value.assign(*v);
+        ctx.probe_value.assign(*v);  // Reuses the slab slot's capacity.
         ctx.probe_io.expire_at = expire_at;
         out[i].hit = true;
         out[i].needs_io = false;
@@ -556,7 +516,10 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
   }
   if (batch_miss_.empty()) return;
 
-  // Pass 2: group misses by hosting replica and resolve each group with
+  // Pass 2: cache misses execute the engine read now to learn the I/O
+  // footprint, and retain the outcome so completion does not re-execute
+  // it; the I/O-WFQ stage then models the disk service for the blocks
+  // read. Misses group by hosting replica and each group resolves with
   // one MultiFind. Ordering within the pass is immaterial — engine reads
   // mutate no data state and each request only touches its own slab
   // slot — but grouping by replica key keeps the walk deterministic.
@@ -589,51 +552,7 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
     for (size_t k = g; k < ge; k++) {
       const uint32_t i = batch_miss_[k];
       PendingContext& ctx = *PendingAt(reqs[i]);
-      const NodeRequest& req = ctx.req;
-      const storage::ValueEntry* e = entries[k - g];
-      // Per-op extraction mirroring the engine's Get/HGet/HLen/HGetAll
-      // wrappers around FindEntry (same Status messages included).
-      switch (req.op) {
-        case OpType::kGet:
-          if (e == nullptr || e->type != storage::ValueType::kString) {
-            ctx.probe_status = Status::NotFound("key absent");
-          } else {
-            ctx.probe_status = Status::OK();
-            e->str.CopyTo(&ctx.probe_value);
-          }
-          break;
-        case OpType::kHGet:
-          if (e == nullptr || e->type != storage::ValueType::kHash) {
-            ctx.probe_status = Status::NotFound("hash absent");
-          } else if (const std::string* v =
-                         storage::FindField(e->hash, req.field)) {
-            ctx.probe_status = Status::OK();
-            ctx.probe_value.assign(*v);
-          } else {
-            ctx.probe_status = Status::NotFound("field absent");
-          }
-          break;
-        case OpType::kHLen:
-          if (e == nullptr || e->type != storage::ValueType::kHash) {
-            ctx.probe_status = Status::NotFound("hash absent");
-          } else {
-            ctx.probe_status = Status::OK();
-            ctx.probe_value = std::to_string(e->hash.size());
-            ctx.probe_hash_fields = e->hash.size();
-          }
-          break;
-        case OpType::kHGetAll:
-          if (e == nullptr || e->type != storage::ValueType::kHash) {
-            ctx.probe_status = Status::NotFound("hash absent");
-          } else {
-            ctx.probe_status = Status::OK();
-            ctx.probe_hash_fields = e->hash.size();
-            ctx.probe_value = SerializeHash(e->hash);
-          }
-          break;
-        default:
-          break;
-      }
+      ExtractPointRead(entries[k - g], ctx);
       ctx.probed = true;
       ctx.probe_io = ios[k - g];
       out[i].hit = false;
@@ -796,21 +715,18 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
   // milliseconds near saturation; seconds only once the node is
   // genuinely backlogged across ticks.
   //
-  // With the sampled service-time model enabled (latency subsystem), the
-  // fixed base is replaced by a stateless per-request draw — a pure hash
-  // of (seed, node, tenant, req_id), so the value is identical whichever
-  // worker runs this node's tick — and the whole node-side latency is
-  // scaled by the gray-failure degradation factor.
+  // The base is a stateless per-request service-time draw (fixed 150us
+  // by default) — a pure hash of (seed, node, tenant, req_id), so the
+  // value is identical whichever worker runs this node's tick — and the
+  // whole node-side latency is scaled by the gray-failure degradation
+  // factor.
   double util = std::min(0.98, prev_wfq_cpu_ru_ /
                                    std::max(1.0, options_.wfq.cpu_budget_ru));
   Micros queueing = static_cast<Micros>(
       static_cast<double>(options_.cpu_service_micros) * 2.0 * util /
       (1.0 - util));
-  Micros base = options_.cpu_service_micros;
-  if (service_model_.enabled()) {
-    base = service_model_.Sample(
-        MixSeed(static_cast<uint64_t>(id_), req.tenant), req.req_id);
-  }
+  const Micros base = service_model_.Sample(
+      MixSeed(static_cast<uint64_t>(id_), req.tenant), req.req_id);
   Micros latency = base + queueing +
                    static_cast<Micros>(ctx.wait_ticks) * kMicrosPerSecond +
                    extra_latency;

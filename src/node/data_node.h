@@ -46,12 +46,12 @@ struct DataNodeOptions {
   /// Requests still queued after this many ticks fail with a queue
   /// deadline error instead of waiting forever (bounded backlog).
   int queue_timeout_ticks = 2;
-  Micros cpu_service_micros = 150;  ///< Base CPU service time per request.
-  /// Sampled per-request service-time distribution (latency subsystem).
-  /// Disabled = the fixed cpu_service_micros base above, bit-identical
-  /// to the seed. When enabled, the sampled draw REPLACES the fixed base
-  /// while the WFQ-backlog, queueing-factor, and disk terms still add on
-  /// top; mean_micros defaults to cpu_service_micros scale.
+  /// CPU service time that scales the queueing factor and prices an
+  /// over-quota rejection.
+  Micros cpu_service_micros = 150;
+  /// Per-request base service-time distribution (latency subsystem); the
+  /// WFQ-backlog, queueing-factor, and disk terms add on top. The default
+  /// (kFixed, mean 150us) charges every request the same 150us.
   latency::ServiceTimeOptions service_time;
   sched::DualWfqOptions wfq;
   storage::DiskOptions disk;
@@ -241,8 +241,7 @@ class DataNode {
   /// One stateless service-time draw as this node would charge tenant
   /// `tenant` for request `req_id`, degradation included. Used by the
   /// Settle stage to price the alternate leg of a hedged read without
-  /// executing it. Falls back to cpu_service_micros when the sampled
-  /// model is disabled.
+  /// executing it.
   Micros SampleServiceMicros(TenantId tenant, uint64_t req_id) const;
 
   /// The node's private deterministic RNG stream (seeded from
@@ -291,14 +290,20 @@ class DataNode {
     return (static_cast<uint64_t>(tenant) << 32) | partition;
   }
 
-  sched::CacheProbe ProbeRequest(const sched::SchedRequest& sreq);
-
   /// Batched probe (DualLayerWfq::BatchProbeFn): node-cache lookups in
-  /// pop order, then one LsmEngine::MultiFind per replica over the
-  /// misses. Produces the same per-request probe results and engine
-  /// counters as n serial ProbeRequest calls.
+  /// pop order, then one LsmEngine::MultiFind per replica over the point
+  /// reads that missed. Every point read, a lone one included, takes the
+  /// MultiFind pass; writes and scans go through ProbeWriteOrScan.
   void ProbeBatch(const sched::SchedRequest* reqs, size_t n,
                   sched::CacheProbe* out);
+  /// Probe of one write (CPU layer only) or scan (runs the merge
+  /// iterator and frames its result into the slab slot).
+  sched::CacheProbe ProbeWriteOrScan(PendingContext& ctx);
+  /// Fills ctx's probe outcome for its point read from `e`, the entry
+  /// MultiFind resolved (nullptr if absent), with the same statuses as
+  /// LsmEngine's Get/HGet/HLen/HGetAll.
+  static void ExtractPointRead(const storage::ValueEntry* e,
+                               PendingContext& ctx);
   void CompleteRequest(const sched::SchedRequest& sreq,
                        sched::SchedOutcome outcome);
 
@@ -368,8 +373,7 @@ class DataNode {
   double total_partition_quota_ = 0;  ///< Cached wPartition denominator.
   ru::RuEstimator ru_model_;
   bool quota_enforcement_ = true;
-  /// Stateless sampled service-time model (latency subsystem); inert
-  /// unless options_.service_time.enabled.
+  /// Stateless sampled service-time model (latency subsystem).
   latency::ServiceTimeModel service_model_;
   double service_degradation_ = 1.0;  ///< Gray-failure multiplier.
 

@@ -63,11 +63,12 @@ struct ProxyHandleResult {
 /// One proxy instance.
 class Proxy {
  public:
-  /// `partition_of` maps a key to its partition (routing metadata pulled
-  /// from the MetaServer).
+  /// `partition_of` maps a key's Fnv1a64 hash to its partition (routing
+  /// metadata pulled from the MetaServer); the hot path hashes each key
+  /// once at generate time and routes with that hash.
   Proxy(ProxyId id, TenantId tenant, double proxy_quota_ru,
         ProxyOptions options, const Clock* clock,
-        std::function<PartitionId(const std::string&)> partition_of);
+        std::function<PartitionId(uint64_t key_hash)> partition_of);
 
   /// Handles one client request: cache → quota → forward.
   ProxyHandleResult Handle(const ClientRequest& req);
@@ -145,15 +146,6 @@ class Proxy {
   /// RU admitted since the last report (the MetaServer polls this).
   double ReportAndResetAdmittedRu();
 
-  /// Installs the hashed partition-routing callback (key_hash ->
-  /// partition). When set, Handle/HandleInto route forwards through it
-  /// with the precomputed key hash instead of re-hashing the key string
-  /// via `partition_of`. The two must agree: partition_of(key) ==
-  /// partition_of_hashed(Fnv1a64(key)).
-  void set_partition_of_hashed(std::function<PartitionId(uint64_t)> fn) {
-    partition_of_hashed_ = std::move(fn);
-  }
-
   /// Installs the id source for background refresh fetches. The cluster
   /// simulator wires this to its sim-wide counter: refresh ids key the
   /// shared in-flight table, so per-proxy counters would collide across
@@ -188,8 +180,7 @@ class Proxy {
   uint32_t az_ = 0;
   ProxyOptions options_;
   const Clock* clock_;
-  std::function<PartitionId(const std::string&)> partition_of_;
-  std::function<PartitionId(uint64_t)> partition_of_hashed_;
+  std::function<PartitionId(uint64_t key_hash)> partition_of_;
   cache::PrefixTreeStore cache_;
   quota::ProxyQuota quota_;
   ru::RuEstimator ru_;

@@ -91,14 +91,9 @@ Status ClusterSim::AddTenant(const meta::TenantConfig& config, PoolId pool,
     popt.replicas = config.replicas;
     rt.proxies.push_back(std::make_unique<proxy::Proxy>(
         p, tid, proxy_quota, popt, &clock_,
-        [this, tid](const std::string& key) {
-          return meta_->PartitionFor(tid, key);
+        [this, tid](uint64_t key_hash) {
+          return meta_->PartitionForHashed(tid, key_hash);
         }));
-    // Hot path: requests carry Fnv1a64(key) computed once at generate /
-    // inject time; partition routing reuses it instead of re-hashing.
-    rt.proxies.back()->set_partition_of_hashed([this, tid](uint64_t h) {
-      return meta_->PartitionForHashed(tid, h);
-    });
     // Refresh-fetch ids must be unique across every proxy of every
     // tenant (they key the sim-wide in-flight table).
     rt.proxies.back()->set_refresh_id_allocator(
@@ -412,23 +407,28 @@ node::DataNode* ClusterSim::PickReplicaForRead(TenantRuntime& rt,
   return nullptr;
 }
 
-void ClusterSim::FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
-                                 TenantTickMetrics& m) {
-  // Mirror of RouteStage's serial non-scan resolve, byte for byte. The
-  // redirect chase mutates only the tenant's cached table (refreshing it
-  // is idempotent within a tick: placement is frozen until Control), so
-  // a morsel-time chase leaves exactly the state a serial chase would.
+void ClusterSim::ResolvePointRoute(TenantRuntime& rt, PendingForward& fwd,
+                                   TenantTickMetrics& m) {
+  // The redirect chase mutates only the tenant's cached table (refreshing
+  // it is idempotent within a tick: placement is frozen until Control),
+  // so a morsel-time chase leaves exactly the state a serial chase would.
   NodeRequest& req = fwd.request;
   node::DataNode* n = nullptr;
   const bool eventual_read = req.consistency == Consistency::kEventual &&
                              IsReadOp(req.op) && !req.background_refresh;
   if (eventual_read) {
+    // Eventual reads accept any alive replica of the partition —
+    // including a stale one during a primary outage — balanced by a
+    // per-tenant round-robin cursor (tenant-private: deterministic).
     n = PickReplicaForRead(rt, req.tenant, req.partition);
     if (n == nullptr && rt.route_epoch != meta_->routing_epoch()) {
       RefreshRoutingTable(rt);
       m.redirects++;
       n = PickReplicaForRead(rt, req.tenant, req.partition);
     }
+    // Hedged reads (latency subsystem): arm an alternate replica now,
+    // while routing state is hot; Settle fires it only if the primary
+    // leg's virtual time crosses the tenant's hedge threshold.
     if (n != nullptr && options_.latency.enabled &&
         options_.latency.hedge.enabled) {
       if (node::DataNode* alt =
@@ -443,6 +443,8 @@ void ClusterSim::FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
     };
     n = FindNode(CachedPrimary(rt, req.partition));
     if (!routable(n) && rt.route_epoch != meta_->routing_epoch()) {
+      // Stale-epoch forward: chase the redirect — refresh the cached
+      // table from the MetaServer and retry once.
       RefreshRoutingTable(rt);
       if (!req.background_refresh) m.redirects++;
       n = FindNode(CachedPrimary(rt, req.partition));

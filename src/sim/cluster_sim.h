@@ -168,8 +168,8 @@ struct SimOptions {
   /// Sub-tick latency subsystem (latency/options.h): AZ/RTT classes,
   /// hedged replica reads, gray-failure detection, SLO accounting.
   /// Disabled by default — the data plane then settles exactly as the
-  /// seed did (golden digests unchanged). Enable together with
-  /// node.service_time for non-degenerate service times.
+  /// seed did (golden digests unchanged). Pair it with a non-fixed
+  /// node.service_time.dist for non-degenerate service times.
   latency::LatencyOptions latency;
   /// Differential oracle for active-set ticking (DESIGN.md "Active-set
   /// ticking"). The per-tenant walks visit only tenants on their active
@@ -673,19 +673,20 @@ class ClusterSim {
       std::vector<std::pair<uint64_t, ClientOutcome>>* deferred,
       TenantTickMetrics& m);
 
-  /// Fused admit/route resolve, called from ProxyAdmit's per-tenant
-  /// morsels for non-scan forwards admitted before any scan this tick:
-  /// computes the same routing decision the Route stage's serial walk
-  /// would and writes it into fwd.ctx (node / hedge_node on success,
-  /// route_failed on failure — the serial walk performs failure
-  /// *settlement* at the forward's position, so quota refunds and
-  /// outcome publication keep their serial order). Touches only
-  /// tenant-private state (cached route table, RR cursors, `m`) plus
-  /// read-only node / meta state; placement is frozen between the Fault
-  /// and Control stages, so morsel-time resolution sees exactly the
-  /// state the serial walk would have.
-  void FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
-                       TenantTickMetrics& m);
+  /// The single non-scan route resolve. ProxyAdmit's per-tenant morsels
+  /// call it for forwards admitted before any scan this tick (the fused
+  /// admit/route pass); the Route stage's serial walk calls it, with
+  /// rt.current as `m`, for the rest (forwards admitted after a scan,
+  /// background refresh fetches). Writes the decision into fwd.ctx:
+  /// node / hedge_node on success, route_failed on failure — the serial
+  /// walk performs failure *settlement* at the forward's position, so
+  /// quota refunds and outcome publication keep their serial order.
+  /// Touches only tenant-private state (cached route table, RR cursors,
+  /// `m`) plus read-only node / meta state; placement is frozen between
+  /// the Fault and Control stages, so morsel-time resolution sees
+  /// exactly the state the serial walk would have.
+  void ResolvePointRoute(TenantRuntime& rt, PendingForward& fwd,
+                         TenantTickMetrics& m);
 
   /// Delivers a settled outcome: to its subscription callback if one is
   /// pending, otherwise into the table for TakeOutcome. Serial sections

@@ -203,9 +203,10 @@ class ProxyAdmitStage final : public Stage {
   /// caller passes rt.current (injected batches, preserving the legacy
   /// accumulation order) or a per-worker scratch merged once per batch
   /// (generated morsels). Non-scan forwards admitted before any scan
-  /// this tick are also *routed* here (ClusterSim::FusedRoutePoint),
-  /// fusing the admit and route walks. Safe to run tenant-concurrently:
-  /// every touched buffer is tenant-private.
+  /// this tick are also *routed* here (ClusterSim::ResolvePointRoute,
+  /// the resolve the Route stage runs for the rest), fusing the admit
+  /// and route walks. Safe to run tenant-concurrently: every touched
+  /// buffer is tenant-private.
   void AdmitOne(TenantRuntime& rt, const ClientRequest& req,
                 std::vector<PendingForward>& out, size_t& out_count,
                 std::vector<std::pair<uint64_t, ClientOutcome>>& deferred,

@@ -288,7 +288,6 @@ uint64_t RunGrayFailureDigest(int workers) {
   opt.seed = 777;
   opt.data_plane_workers = workers;
   opt.dense_tick = ForceDenseTick();
-  opt.node.service_time.enabled = true;
   opt.node.service_time.dist = latency::DistKind::kLognormal;
   opt.node.service_time.mean_micros = 150;
   opt.node.service_time.sigma = 1.2;
@@ -355,7 +354,6 @@ uint64_t RunActiveSetDigest(int workers, bool dense) {
   opt.control_interval_ticks = 5;
   opt.control_ticks_per_hour = 10;
   opt.replication_lag_ticks = 1;
-  opt.node.service_time.enabled = true;
   opt.node.service_time.dist = latency::DistKind::kLognormal;
   opt.node.service_time.mean_micros = 120;
   opt.node.service_time.sigma = 1.0;

@@ -31,7 +31,6 @@ using latency::ServiceTimeOptions;
 ServiceTimeOptions Opts(DistKind dist, double mean, double sigma = 1.2,
                         uint64_t seed = 42) {
   ServiceTimeOptions o;
-  o.enabled = true;
   o.dist = dist;
   o.mean_micros = mean;
   o.sigma = sigma;
@@ -346,7 +345,6 @@ meta::TenantConfig LatencyTenant(TenantId id) {
 sim::SimOptions TimedSimOptions(bool hedging, bool gray) {
   sim::SimOptions o;
   o.seed = 11;
-  o.node.service_time.enabled = true;
   o.node.service_time.dist = DistKind::kLognormal;
   o.node.service_time.mean_micros = 150;
   o.node.service_time.sigma = 1.2;

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "proxy/fanout_router.h"
 #include "proxy/proxy.h"
 
@@ -144,7 +145,7 @@ class ProxyTest : public ::testing::Test {
   ProxyTest()
       : clock_(0),
         proxy_(0, 1, /*proxy_quota_ru=*/100, SmallProxyOptions(), &clock_,
-               [](const std::string&) { return PartitionId{0}; }) {}
+               [](uint64_t) { return PartitionId{0}; }) {}
   SimClock clock_;
   Proxy proxy_;
 };
@@ -223,7 +224,9 @@ TEST_F(ProxyTest, RefreshFetchesGeneratedForHotExpiringKeys) {
   o.cache.refresh_window = 20 * kMicrosPerSecond;
   o.cache.refresh_min_hits = 2;
   Proxy p(0, 1, 1000, o, &clock_,
-          [](const std::string&) { return PartitionId{3}; });
+          [](uint64_t key_hash) {
+            return key_hash == Fnv1a64("hot") ? PartitionId{3} : PartitionId{0};
+          });
 
   p.Handle(MakeGet(1, "hot"));
   p.OnResponse(OkReadResponse(1, "hot", "v", ServedBy::kDisk));

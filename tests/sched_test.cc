@@ -2,7 +2,9 @@
 // per-tenant fairness, the four class queues, and Rules 1-4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "sched/dual_layer_wfq.h"
 #include "sched/wfq_queue.h"
@@ -122,6 +124,17 @@ DualWfqOptions SmallWfqOptions() {
   return o;
 }
 
+// Runs one scheduling tick with every probe answering `answer` and no
+// request canceled.
+TickStats RunTickProbing(DualLayerWfq& wfq, CacheProbe answer,
+                         const DualLayerWfq::CompleteFn& complete) {
+  return wfq.RunTick(
+      [answer](const SchedRequest*, size_t n, CacheProbe* out) {
+        std::fill(out, out + n, answer);
+      },
+      [](const SchedRequest&) { return false; }, complete);
+}
+
 struct Recorder {
   std::map<uint64_t, SchedOutcome> outcomes;
   DualLayerWfq::CompleteFn Fn() {
@@ -135,11 +148,8 @@ TEST(DualLayerWfqTest, CacheHitCompletesAtCpuLayer) {
   DualLayerWfq wfq(SmallWfqOptions());
   wfq.Enqueue(MakeReq(1, 1, 1.0, 1.0));
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{/*hit=*/true, /*needs_io=*/false, 0};
-      },
-      rec.Fn());
+  TickStats stats = RunTickProbing(
+      wfq, CacheProbe{/*hit=*/true, /*needs_io=*/false, 0}, rec.Fn());
   EXPECT_EQ(rec.outcomes[1], SchedOutcome::kServedFromCache);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.io_scheduled, 0u);
@@ -149,11 +159,7 @@ TEST(DualLayerWfqTest, MissGoesThroughIoLayer) {
   DualLayerWfq wfq(SmallWfqOptions());
   wfq.Enqueue(MakeReq(1, 1, 1.0, 1.0));
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, true, 3};
-      },
-      rec.Fn());
+  TickStats stats = RunTickProbing(wfq, CacheProbe{false, true, 3}, rec.Fn());
   EXPECT_EQ(rec.outcomes[1], SchedOutcome::kServedFromDisk);
   EXPECT_EQ(stats.io_scheduled, 1u);
   EXPECT_EQ(stats.io_blocks_used, 3u);
@@ -164,11 +170,7 @@ TEST(DualLayerWfqTest, WriteCompletesAtCpuWithoutIo) {
   wfq.Enqueue(MakeReq(1, 1, 1.0, 1.0, /*is_read=*/false,
                       RequestClass::kSmallWrite));
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, false, 0};
-      },
-      rec.Fn());
+  RunTickProbing(wfq, CacheProbe{false, false, 0}, rec.Fn());
   EXPECT_EQ(rec.outcomes[1], SchedOutcome::kServedFromCpu);
 }
 
@@ -178,20 +180,12 @@ TEST(DualLayerWfqTest, CpuBudgetDefersExcess) {
     wfq.Enqueue(MakeReq(i, 1, 10.0, 1.0));  // 300 RU total.
   }
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickProbing(wfq, CacheProbe{true, false, 0}, rec.Fn());
   // ~10 requests fit in the 100-RU budget; the rest stay queued.
   EXPECT_LE(rec.outcomes.size(), 11u);
   EXPECT_GT(wfq.PendingCount(), 0u);
   // Next tick serves more.
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickProbing(wfq, CacheProbe{true, false, 0}, rec.Fn());
   EXPECT_GT(rec.outcomes.size(), 11u);
 }
 
@@ -203,11 +197,7 @@ TEST(DualLayerWfqTest, Rule2WriteRuCeiling) {
     wfq.Enqueue(MakeReq(i, 1, 10.0, 1.0, false, RequestClass::kSmallWrite));
   }
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, false, 0};
-      },
-      rec.Fn());
+  RunTickProbing(wfq, CacheProbe{false, false, 0}, rec.Fn());
   // Only ceiling/cost = 2 writes may run this tick despite CPU headroom.
   EXPECT_LE(rec.outcomes.size(), 2u);
 }
@@ -218,11 +208,7 @@ TEST(DualLayerWfqTest, Rule2ConcurrencyLimits) {
   DualLayerWfq wfq(o);
   for (uint64_t i = 0; i < 20; i++) wfq.Enqueue(MakeReq(i, 1, 1.0, 1.0));
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickProbing(wfq, CacheProbe{true, false, 0}, rec.Fn());
   EXPECT_EQ(rec.outcomes.size(), 5u);
 }
 
@@ -237,11 +223,7 @@ TEST(DualLayerWfqTest, Rule3SingleTenantCpuCap) {
     wfq.Enqueue(MakeReq(100 + i, 2, 1.0, 0.05));
   }
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  TickStats stats = RunTickProbing(wfq, CacheProbe{true, false, 0}, rec.Fn());
   // Tenant 1 capped at 90 RU (9 requests); tenant 2 fully served.
   double t1_ru = 0;
   int t2_served = 0;
@@ -271,11 +253,7 @@ TEST(DualLayerWfqTest, Rule4ExtraThreadsServeOtherTenants) {
     wfq.Enqueue(MakeReq(100 + i, 2, 1.0, 0.01));
   }
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, true, 1};
-      },
-      rec.Fn());
+  TickStats stats = RunTickProbing(wfq, CacheProbe{false, true, 1}, rec.Fn());
   // Tenant 2's requests are served via extra threads even though tenant 1
   // consumed the whole basic budget.
   EXPECT_TRUE(stats.extra_threads_active);
@@ -295,11 +273,7 @@ TEST(DualLayerWfqTest, NoMonopolyNoExtraThreads) {
     wfq.Enqueue(MakeReq(100 + i, 2, 1.0, 0.5));
   }
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, true, 1};
-      },
-      rec.Fn());
+  TickStats stats = RunTickProbing(wfq, CacheProbe{false, true, 1}, rec.Fn());
   EXPECT_FALSE(stats.extra_threads_active);
 }
 
@@ -314,12 +288,66 @@ TEST(DualLayerWfqTest, FourClassesIsolateSizes) {
   }
   wfq.Enqueue(MakeReq(500, 2, 1.0, 0.5, true, RequestClass::kSmallRead));
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickProbing(wfq, CacheProbe{true, false, 0}, rec.Fn());
   EXPECT_TRUE(rec.outcomes.count(500));
+}
+
+TEST(DualLayerWfqTest, CanceledRequestChargesNothingAndNeverCompletes) {
+  DualWfqOptions o = SmallWfqOptions();  // Budget 100 RU.
+  o.single_tenant_cpu_cap = 1.0;
+  DualLayerWfq wfq(o);
+  // 110 RU queued; request 0 is canceled. Were it charged, the budget
+  // would run out one request early and request 10 would stay queued.
+  for (uint64_t i = 0; i <= 10; i++) wfq.Enqueue(MakeReq(i, 1, 10.0, 1.0));
+  std::vector<uint64_t> probed;
+  Recorder rec;
+  TickStats stats = wfq.RunTick(
+      [&](const SchedRequest* reqs, size_t n, CacheProbe* out) {
+        for (size_t i = 0; i < n; i++) {
+          probed.push_back(reqs[i].req_id);
+          out[i] = CacheProbe{true, false, 0};
+        }
+      },
+      [](const SchedRequest& r) { return r.req_id == 0; }, rec.Fn());
+  EXPECT_EQ(rec.outcomes.size(), 10u);
+  EXPECT_EQ(rec.outcomes.count(0), 0u);
+  EXPECT_EQ(rec.outcomes.count(10), 1u);
+  EXPECT_EQ(std::count(probed.begin(), probed.end(), 0u), 0);
+  EXPECT_EQ(stats.cpu_scheduled, 10u);
+  EXPECT_DOUBLE_EQ(stats.cpu_ru_used, 100.0);
+  EXPECT_EQ(wfq.PendingCount(), 0u);
+}
+
+TEST(DualLayerWfqTest, CanceledHeadOfCappedTenantStillDefers) {
+  DualWfqOptions o = SmallWfqOptions();  // Budget 100 RU, cap 90 RU.
+  o.single_tenant_cpu_cap = 0.9;
+  DualLayerWfq wfq(o);
+  // Nine requests exhaust tenant 1's Rule-3 share; its next head (id 9)
+  // is canceled. Rule 3 runs first, so the head is deferred, not dropped.
+  for (uint64_t i = 0; i <= 9; i++) wfq.Enqueue(MakeReq(i, 1, 10.0, 1.0));
+  auto canceled = [](const SchedRequest& r) { return r.req_id == 9; };
+  Recorder rec;
+  TickStats stats = wfq.RunTick(
+      [](const SchedRequest*, size_t n, CacheProbe* out) {
+        std::fill(out, out + n, CacheProbe{true, false, 0});
+      },
+      canceled, rec.Fn());
+  EXPECT_EQ(rec.outcomes.size(), 9u);
+  EXPECT_EQ(stats.cpu_scheduled, 9u);
+  EXPECT_EQ(stats.rule3_deferrals, 1u);
+  EXPECT_EQ(wfq.PendingCount(), 1u);
+  // Next tick the tenant is uncapped: the canceled head is dropped
+  // without a charge or a completion.
+  stats = wfq.RunTick(
+      [](const SchedRequest*, size_t n, CacheProbe* out) {
+        std::fill(out, out + n, CacheProbe{true, false, 0});
+      },
+      canceled, rec.Fn());
+  EXPECT_EQ(rec.outcomes.count(9), 0u);
+  EXPECT_EQ(stats.cpu_scheduled, 0u);
+  EXPECT_EQ(stats.rule3_deferrals, 0u);
+  EXPECT_DOUBLE_EQ(stats.cpu_ru_used, 0.0);
+  EXPECT_EQ(wfq.PendingCount(), 0u);
 }
 
 // Property sweep: with two tenants at a quota ratio r and saturated
@@ -346,11 +374,7 @@ TEST_P(WfqFairnessTest, ServedRuMatchesQuotaRatio) {
       wfq.Enqueue(
           MakeReq(tick * 10000 + 5000 + i, 2, 1.0, share2));
     }
-    wfq.RunTick(
-        [](const SchedRequest&) {
-          return CacheProbe{true, false, 0};
-        },
-        complete);
+    RunTickProbing(wfq, CacheProbe{true, false, 0}, complete);
   }
   double expected_ratio = share1 / share2;
   EXPECT_NEAR(served1 / served2, expected_ratio, expected_ratio * 0.15);
